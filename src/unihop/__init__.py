@@ -48,7 +48,6 @@ from .spectral import (
 )
 from .dynamics import (
     EvolveConfig,
-    Method,
     StateTrajectory,
     center_of_mass,
     evolve_closed_form,
@@ -114,7 +113,6 @@ __all__ = [
     "analyze_spectrum",
     "wannier_stark_states",
     # dynamics
-    "Method",
     "EvolveConfig",
     "StateTrajectory",
     "single_site_state",

@@ -27,7 +27,6 @@ import numpy as np
 
 from .dynamics import (
     EvolveConfig,
-    Method,
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
@@ -158,7 +157,8 @@ def _maybe_dump(args, resolved: dict, command: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared flag groups and field tables
+# shared field tables: (name, kind, default); each subcommand's flags are
+# generated from its table (see _build_parser)
 
 _LATTICE_FIELDS = (
     ("geometry", ("choice", ("infinite", "chain", "ring")), _REQUIRED),
@@ -175,33 +175,6 @@ _STATE_FIELDS = (
     ("center", "float", None),
     ("width", "float", None),
 )
-
-
-def _add_common(p) -> None:
-    p.add_argument("--config", metavar="FILE", help="JSON config; flags override its keys")
-    p.add_argument(
-        "--dump-config",
-        metavar="PATH",
-        help="write the resolved config JSON and exit without running",
-    )
-
-
-def _add_lattice(p) -> None:
-    p.add_argument("--geometry", choices=("infinite", "chain", "ring"))
-    p.add_argument("--sites", type=int, help="site count (chain/ring)")
-    p.add_argument(
-        "--window", nargs=2, type=int, metavar=("MIN", "MAX"), help="site window (infinite)"
-    )
-    p.add_argument("--kappa1", metavar="A+BI", help="forward hopping (complex literal)")
-    p.add_argument("--kappa2", metavar="A+BI", help="backward hopping (complex literal)")
-    p.add_argument("--force", type=float, help="dc force F per site")
-
-
-def _add_state(p) -> None:
-    p.add_argument("--initial", choices=("single", "gaussian"))
-    p.add_argument("--site", type=int, help="site of the single-site excitation")
-    p.add_argument("--center", type=float, help="gaussian center (may be fractional)")
-    p.add_argument("--width", type=float, help="gaussian width w in exp[-(n-c)^2/w^2]")
 
 
 def _lattice_spec(resolved: dict) -> LatticeSpec:
@@ -234,6 +207,15 @@ def _initial_state(resolved: dict, spec: LatticeSpec) -> StateVector:
     if resolved["initial"] == "single":
         return single_site_state(spec, resolved["site"])
     return gaussian_state(spec, resolved["center"], resolved["width"])
+
+
+def _evolve_config(resolved: dict, t_end: float, dt: float) -> EvolveConfig:
+    return EvolveConfig(
+        t_end=t_end,
+        dt=dt,
+        record_every=resolved["record_every"],
+        renormalize=resolved["renormalize"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +292,7 @@ def _run_evolve(resolved: dict, spec: LatticeSpec) -> "StateTrajectory":
             dt = 1.0  # unused: only the initial state is emitted
         else:
             raise _UsageError("--dt is required for method rk4 with t_end > 0")
-    cfg = EvolveConfig(
-        t_end=t_end,
-        dt=dt,
-        method=Method.RK4,
-        record_every=resolved["record_every"],
-        renormalize=resolved["renormalize"],
-    )
+    cfg = _evolve_config(resolved, t_end, dt)
     return evolve_rk4(spec, c0, cfg, flux_rate=resolved["flux_rate"])
 
 
@@ -382,13 +358,7 @@ def _cmd_bloch(args) -> int:
         return 0
     t_b = 2.0 * math.pi / abs(resolved["force"])
     c0 = _initial_state(resolved, spec)
-    cfg = EvolveConfig(
-        t_end=resolved["periods"] * t_b,
-        dt=t_b / resolved["steps_per_period"],
-        method=Method.RK4,
-        record_every=resolved["record_every"],
-        renormalize=resolved["renormalize"],
-    )
+    cfg = _evolve_config(resolved, resolved["periods"] * t_b, t_b / resolved["steps_per_period"])
     traj = evolve_rk4(spec, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
@@ -602,13 +572,7 @@ def _cmd_laser(args) -> int:
     if _maybe_dump(args, resolved, "laser"):
         return 0
     c0 = _initial_state(resolved, window_spec)
-    cfg = EvolveConfig(
-        t_end=resolved["t_end"],
-        dt=resolved["dt"],
-        method=Method.RK4,
-        record_every=resolved["record_every"],
-        renormalize=resolved["renormalize"],
-    )
+    cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
     traj = laser_evolve(params, c0, cfg, edge_tol=resolved["edge_tol"])
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
@@ -640,6 +604,55 @@ def _cmd_dump_h(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly and entry point
 
+# Help sentence per field name, shared by every subcommand that has the field.
+_HELP = {
+    "config": "JSON config; flags override its keys",
+    "dump_config": "write the resolved config JSON and exit without running",
+    "sites": "site count (chain/ring)",
+    "window": "site window (infinite)",
+    "kappa1": "forward hopping (complex literal)",
+    "kappa2": "backward hopping (complex literal)",
+    "force": "dc force F per site",
+    "site": "site of the single-site excitation",
+    "center": "gaussian center (may be fractional)",
+    "width": "gaussian width w in exp[-(n-c)^2/w^2]",
+    "cluster_tol": "relative eigenvalue cluster tolerance",
+    "samples": "recorded times for the closed form",
+    "flux_rate": "ring Peierls phase rate F",
+    "periods": "duration in Bloch periods",
+    "phi0_rate": "flux quanta threaded per unit time",
+    "gamma": "drive area Gamma (complex literal)",
+    "period": "base protocol period",
+    "ratios": "drive rates omega/kappa",
+    "dg": "gain-bandwidth curvature",
+    "phi": "AM/FM relative phase",
+    "detuning": "modulator detuning = force per mode",
+}
+
+# Field kind -> argparse keywords.  Every flag defaults to None, meaning "not
+# given", so _resolve can fall back to the config file and then the default.
+_ARGPARSE = {
+    "int": {"type": int},
+    "float": {"type": float},
+    "bool": {"action": argparse.BooleanOptionalAction, "default": None},
+    "ints2": {"nargs": 2, "type": int, "metavar": ("MIN", "MAX")},
+    "complex": {"metavar": "A+BI"},
+    "floats": {"metavar": "R1,R2,..."},
+    "str": {},
+}
+
+_COMMANDS = (
+    ("spectrum", "eigenvalues, Jordan structure, EP order", _SPECTRUM_FIELDS, _cmd_spectrum),
+    ("evolve", "time evolution (closed form or RK4)", _EVOLVE_FIELDS, _cmd_evolve),
+    ("bloch", "Bloch-oscillation runs (with pinned presets)", _BLOCH_FIELDS, _cmd_bloch),
+    ("floquet", "flux-driven ring: monodromy and quasi-energies", _FLOQUET_FIELDS, _cmd_floquet),
+    ("engineer", "solve sigma = 0 for the drive area Gamma", _ENGINEER_FIELDS, _cmd_engineer),
+    ("rwa", "stroboscopic check of the effective model", _RWA_FIELDS, _cmd_rwa),
+    ("laser", "mode-locked-laser modal dynamics", _LASER_FIELDS, _cmd_laser),
+    ("dump-h", "write the Hamiltonian matrix as JSON", _DUMP_H_FIELDS, _cmd_dump_h),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="unihop",
@@ -647,105 +660,25 @@ def _build_parser() -> _Parser:
         epilog="Exit codes: 0 ok, 1 usage, 2 validation, 3 computation, 4 I/O.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("spectrum", help="eigenvalues, Jordan structure, EP order")
-    _add_common(p)
-    _add_lattice(p)
-    p.add_argument("--cluster-tol", type=float, help="relative eigenvalue cluster tolerance")
-    p.add_argument("--vectors", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("evolve", help="time evolution (closed form or RK4)")
-    _add_common(p)
-    _add_lattice(p)
-    _add_state(p)
-    p.add_argument("--method", choices=("rk4", "closed"))
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--samples", type=int, help="recorded times for the closed form")
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--flux-rate", type=float, help="ring Peierls phase rate F")
-    p.add_argument("--output-prefix", metavar="PREFIX")
-    p.set_defaults(handler=_cmd_evolve)
-
-    p = sub.add_parser("bloch", help="Bloch-oscillation runs (with pinned presets)")
-    _add_common(p)
-    _add_lattice(p)
-    _add_state(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fig2a", action="store_true", help="reciprocal demo (kappa2 = 1)")
-    group.add_argument("--fig2b", action="store_true", help="unidirectional demo (kappa2 = 0)")
-    p.add_argument("--periods", type=float, help="duration in Bloch periods")
-    p.add_argument("--steps-per-period", type=int)
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--output-prefix", metavar="PREFIX")
-    p.set_defaults(handler=_cmd_bloch)
-
-    p = sub.add_parser("floquet", help="flux-driven ring: monodromy and quasi-energies")
-    _add_common(p)
-    p.add_argument("--sites", type=int)
-    p.add_argument("--kappa1", metavar="A+BI")
-    p.add_argument("--kappa2", metavar="A+BI")
-    p.add_argument("--phi0-rate", type=float, help="flux quanta threaded per unit time")
-    p.add_argument("--steps-per-period", type=int)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(handler=_cmd_floquet)
-
-    p = sub.add_parser("engineer", help="solve sigma = 0 for the drive area Gamma")
-    _add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--gamma-guess", metavar="A+BI")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(handler=_cmd_engineer)
-
-    p = sub.add_parser("rwa", help="stroboscopic check of the effective model")
-    _add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--x", type=float)
-    p.add_argument("--gamma", metavar="A+BI", help="drive area Gamma (complex literal)")
-    p.add_argument("--period", type=float, help="base protocol period")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--ratios", metavar="R1,R2,...", help="drive rates omega/kappa")
-    p.add_argument("--sites", type=int)
-    p.add_argument("--site", type=int, help="initial single-site excitation")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt-factor", type=float)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(handler=_cmd_rwa)
-
-    p = sub.add_parser("laser", help="mode-locked-laser modal dynamics")
-    _add_common(p)
-    _add_state(p)
-    p.add_argument("--gain", type=float)
-    p.add_argument("--loss", type=float)
-    p.add_argument("--dg", type=float, help="gain-bandwidth curvature")
-    p.add_argument("--delta-am", type=float)
-    p.add_argument("--delta-fm", type=float)
-    p.add_argument("--phi", type=float, help="AM/FM relative phase")
-    p.add_argument("--detuning", type=float, help="modulator detuning = force per mode")
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--edge-tol", type=float)
-    p.add_argument("--output-prefix", metavar="PREFIX")
-    p.set_defaults(handler=_cmd_laser)
-
-    p = sub.add_parser("dump-h", help="write the Hamiltonian matrix as JSON")
-    _add_common(p)
-    _add_lattice(p)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(handler=_cmd_dump_h)
-
+    for command, summary, fields, handler in _COMMANDS:
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", metavar="FILE", help=_HELP["config"])
+        p.add_argument("--dump-config", metavar="PATH", help=_HELP["dump_config"])
+        for name, kind, _ in fields:
+            if isinstance(kind, tuple):  # ("choice", options)
+                kwargs = {"choices": kind[1]}
+            else:
+                kwargs = _ARGPARSE[kind]
+            p.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name), **kwargs)
+        if command == "bloch":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument(
+                "--fig2a", action="store_true", help="reciprocal demo (kappa2 = 1)"
+            )
+            group.add_argument(
+                "--fig2b", action="store_true", help="unidirectional demo (kappa2 = 0)"
+            )
+        p.set_defaults(handler=handler)
     return parser
 
 

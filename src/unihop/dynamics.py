@@ -19,7 +19,6 @@ the period), so revival diagnostics carry no sampling error.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,10 +27,9 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from .errors import OverflowAbort, ValidationError
-from .lattice import Geometry, LatticeSpec, StateVector, hop_parts
+from .lattice import Geometry, LatticeSpec, StateVector, _check_state, _lattice_deriv
 
 __all__ = [
-    "Method",
     "EvolveConfig",
     "StateTrajectory",
     "propagator_entry_unidirectional",
@@ -44,13 +42,6 @@ __all__ = [
 ]
 
 _OVERFLOW_LIMIT = 1e150
-
-
-class Method(enum.Enum):
-    """Evolution backend selector (CLI plumbing)."""
-
-    ClosedForm = "closed"
-    RK4 = "rk4"
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,6 @@ class EvolveConfig:
 
     t_end: float
     dt: float
-    method: Method = Method.RK4
     record_every: int = 1
     renormalize: bool = False
 
@@ -230,8 +220,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
         raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
     if spec.force != 0.0:
         raise ValidationError("closed form requires F = 0; use evolve_rk4")
-    if len(c0) != spec.dim or c0.offset != spec.offset:
-        raise ValidationError("initial state does not match the lattice")
+    _check_state(spec, c0)
     if c0.norm() == 0.0:
         raise ValidationError("initial state must be nonzero")
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
@@ -264,6 +253,14 @@ def _dt_scale(spec: LatticeSpec, flux_rate: float | None) -> float:
     if flux_rate is not None:
         scale = max(scale, abs(flux_rate))
     return scale
+
+
+def _require_resolved(dt: float, scale: float, what: str) -> None:
+    """The RK4 step rule: dt <= 0.05 / scale, with ``scale`` the fastest rate."""
+    if scale > 0 and dt > 0.05 / scale * (1.0 + 1e-12):
+        raise ValidationError(
+            f"dt = {dt:.3g} does not resolve {what} (need dt <= {0.05 / scale:.3g})"
+        )
 
 
 def _integrate_rk4(
@@ -338,35 +335,12 @@ def evolve_rk4(
     the largest |site index| (or the dimension, if larger).  A uniform step
     t_end/n_steps <= dt is then used so the final time is hit exactly.
     """
-    if cfg.method is not Method.RK4:
-        raise ValidationError("evolve_rk4 requires cfg.method = Method.RK4")
-    if len(c0) != spec.dim or c0.offset != spec.offset:
-        raise ValidationError("initial state does not match the lattice")
+    _check_state(spec, c0)
     if c0.norm() == 0.0:
         raise ValidationError("initial state must be nonzero")
-    if flux_rate is not None and spec.geometry is not Geometry.Ring:
-        raise ValidationError("flux_rate is only defined for Ring geometry")
-    scale = _dt_scale(spec, flux_rate)
-    if cfg.t_end > 0.0 and scale > 0 and cfg.dt > 0.05 / scale * (1.0 + 1e-12):
-        raise ValidationError(
-            f"dt = {cfg.dt:.3g} does not resolve the fastest scale "
-            f"(need dt <= {0.05 / scale:.3g})"
-        )
-
-    fwd, bwd, diag = hop_parts(spec)
-    if flux_rate is None:
-        h_static = fwd + bwd + diag
-
-        def deriv(t: float, y: np.ndarray) -> np.ndarray:
-            return -1j * (h_static @ y)
-
-    else:
-        diag_vec = np.diag(diag).copy()
-        rate = float(flux_rate)
-
-        def deriv(t: float, y: np.ndarray) -> np.ndarray:
-            phase = cmath.exp(1j * rate * t)
-            return -1j * (phase * (fwd @ y) + np.conj(phase) * (bwd @ y) + diag_vec * y)
+    deriv = _lattice_deriv(spec, flux_rate)
+    if cfg.t_end > 0.0:
+        _require_resolved(cfg.dt, _dt_scale(spec, flux_rate), "the fastest scale")
 
     times, states, logs = _integrate_rk4(
         deriv, np.asarray(c0.amps), cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate_rk4
+from .dynamics import _dt_scale, _integrate_rk4, _require_resolved
 from .errors import ComputationError, ValidationError
-from .lattice import Geometry, LatticeSpec, hop_parts
+from .lattice import Geometry, LatticeSpec, _lattice_deriv
 
 __all__ = [
     "FluxDrive",
@@ -138,22 +138,13 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
     if spec.force != 0.0:
         raise ValidationError("the ring flux supplies the force; set spec.force = 0")
     rate = drive.force
-    scale = max(abs(spec.kappa1), abs(spec.kappa2), abs(rate))
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("dt must be positive and finite")
-    if scale > 0 and dt > 0.05 / scale * (1.0 + 1e-12):
-        raise ValidationError(
-            f"dt = {dt:.3g} does not resolve the drive (need dt <= {0.05 / scale:.3g})"
-        )
-    fwd, bwd, _ = hop_parts(spec)
+    _require_resolved(dt, _dt_scale(spec, rate), "the drive")
     dim = spec.dim
 
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        phase = cmath.exp(1j * rate * t)
-        return -1j * (phase * (fwd @ y) + np.conj(phase) * (bwd @ y))
-
     _, states, _ = _integrate_rk4(
-        deriv,
+        _lattice_deriv(spec, rate),
         np.eye(dim, dtype=complex),
         drive.period,
         dt,

@@ -197,25 +197,40 @@ class StateVector:
         return 0j
 
 
+def _tridiagonal(dim: int, upper, lower, diag=0, wrap: bool = False) -> np.ndarray:
+    """Dense dim x dim matrix with ``upper`` on H[n][n+1], ``lower`` on
+    H[n+1][n] and ``diag`` on the diagonal; ``wrap`` adds the ring corners
+    H[dim-1][0] = upper and H[0][dim-1] = lower.
+
+    Entries accumulate into a zero matrix, so on a 2-site ring the chain bond
+    and the wrap bond, which connect the same pair of sites, are summed.
+    """
+    h = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim - 1)
+    h[n, n + 1] += upper
+    h[n + 1, n] += lower
+    h[np.diag_indices(dim)] += diag
+    if wrap:
+        h[dim - 1, 0] += upper
+        h[0, dim - 1] += lower
+    return h
+
+
+def _stark_diagonal(spec: LatticeSpec) -> np.ndarray:
+    return spec.force * spec.site_indices.astype(float)
+
+
 def hop_parts(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split H into (forward kappa1 part, backward kappa2 part, Stark diagonal).
 
     The split exists so time-dependent Peierls phases can multiply the two
     hopping directions independently (flux-threaded ring: kappa1 -> kappa1
-    e^{iFt}, kappa2 -> kappa2 e^{-iFt}).  Wrap bonds accumulate: on a 2-site
-    ring the chain bond and the wrap bond connect the same pair of sites.
+    e^{iFt}, kappa2 -> kappa2 e^{-iFt}).
     """
-    dim = spec.dim
-    fwd = np.zeros((dim, dim), dtype=complex)
-    bwd = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        fwd[n, n + 1] += spec.kappa1
-        bwd[n + 1, n] += spec.kappa2
-    if spec.geometry is Geometry.Ring:
-        fwd[dim - 1, 0] += spec.kappa1
-        bwd[0, dim - 1] += spec.kappa2
-    diag = np.diag(spec.force * spec.site_indices.astype(float)).astype(complex)
-    return fwd, bwd, diag
+    dim, ring = spec.dim, spec.geometry is Geometry.Ring
+    fwd = _tridiagonal(dim, spec.kappa1, 0, wrap=ring)
+    bwd = _tridiagonal(dim, 0, spec.kappa2, wrap=ring)
+    return fwd, bwd, np.diag(_stark_diagonal(spec)).astype(complex)
 
 
 def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
@@ -225,8 +240,14 @@ def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
     site index (window indices for InfiniteChain); Ring adds the cyclic wrap
     entries H[N][0] = kappa1 and H[0][N] = kappa2.
     """
-    fwd, bwd, diag = hop_parts(spec)
-    return HamiltonianMatrix(entries=fwd + bwd + diag, offset=spec.offset)
+    entries = _tridiagonal(
+        spec.dim,
+        spec.kappa1,
+        spec.kappa2,
+        diag=_stark_diagonal(spec),
+        wrap=spec.geometry is Geometry.Ring,
+    )
+    return HamiltonianMatrix(entries=entries, offset=spec.offset)
 
 
 def _check_state(spec: LatticeSpec, state: StateVector) -> None:
@@ -240,6 +261,39 @@ def _check_state(spec: LatticeSpec, state: StateVector) -> None:
         )
 
 
+def _lattice_deriv(spec: LatticeSpec, flux_rate: float | None = None):
+    """The equation of motion as a function deriv(t, y) = -i H(t) y.
+
+    ``y`` is a state vector or a matrix whose columns are state vectors.
+    Without ``flux_rate`` H is static.  With ``flux_rate`` = F (Ring only)
+    the hopping acquires a global Peierls phase, kappa1 -> kappa1 e^{iFt} and
+    kappa2 -> kappa2 e^{-iFt}; the on-site term is skipped when the lattice
+    has no force.
+    """
+    if flux_rate is None:
+        h = build_hamiltonian(spec).entries
+
+        def deriv(t: float, y: np.ndarray) -> np.ndarray:
+            return -1j * (h @ y)
+
+        return deriv
+
+    if spec.geometry is not Geometry.Ring:
+        raise ValidationError("flux_rate is only defined for Ring geometry")
+    fwd, bwd, _ = hop_parts(spec)
+    onsite = _stark_diagonal(spec) if spec.force != 0.0 else None
+    rate = float(flux_rate)
+
+    def deriv(t: float, y: np.ndarray) -> np.ndarray:
+        phase = cmath.exp(1j * rate * t)
+        hop = phase * (fwd @ y) + np.conj(phase) * (bwd @ y)
+        if onsite is None:
+            return -1j * hop
+        return -1j * (hop + (onsite * y.T).T)
+
+    return deriv
+
+
 def rhs(
     spec: LatticeSpec,
     t: float,
@@ -251,18 +305,8 @@ def rhs(
     With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
     phase, i dc_n/dt = kappa1 e^{iFt} c_{n+1} + kappa2 e^{-iFt} c_{n-1}: the
     gauge representation of a magnetic flux ramped linearly in time through
-    the ring.
-
-    This is the readable reference implementation (it rebuilds the phased
-    matrix); the integrator uses an equivalent preassembled fast path.
+    the ring.  The integrators step the same derivative.
     """
     _check_state(spec, state)
-    if flux_rate is not None and spec.geometry is not Geometry.Ring:
-        raise ValidationError("flux_rate is only defined for Ring geometry")
-    fwd, bwd, diag = hop_parts(spec)
-    if flux_rate is None:
-        h = fwd + bwd + diag
-    else:
-        phase = cmath.exp(1j * flux_rate * t)
-        h = fwd * phase + bwd * np.conj(phase) + diag
-    return StateVector(offset=state.offset, amps=-1j * (h @ state.amps))
+    deriv = _lattice_deriv(spec, flux_rate)
+    return StateVector(offset=state.offset, amps=deriv(t, state.amps))

@@ -222,9 +222,14 @@ def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
     """Rank by SVD with threshold tau = dim * eps * sigma_max.
 
     Returns (rank, flagged); flagged is True when any singular value lands
-    within a factor 10 of tau, i.e. the rank decision is marginal.
+    within a factor 10 of tau, i.e. the rank decision is marginal.  A matrix
+    the SVD cannot take (non-finite entries from an overflowing power, or a
+    failed convergence) raises :class:`ComputationError`.
     """
-    sv = scipy.linalg.svdvals(matrix)
+    try:
+        sv = scipy.linalg.svdvals(matrix)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ComputationError(f"singular value decomposition failed: {exc}") from exc
     if sv.size == 0:
         return 0, False
     tau = matrix.shape[0] * _EPS * sv[0]

@@ -566,3 +566,29 @@ def test_python_module_help_via_interpreter():
     # argparse --help exits 0 and prints the command list
     assert result.returncode == 0
     assert "COMMAND" in result.stdout
+
+
+def test_package_runs_as_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "unihop", "--help"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert result.returncode == 0
+    assert "COMMAND" in result.stdout
+
+
+def test_svd_failure_maps_to_exit_3():
+    # the powers (H - lambda)^k overflow at |kappa1| = 1000, so the rank SVD
+    # sees non-finite entries; that must land in the exit-code table
+    result = subprocess.run(
+        [sys.executable, "-m", "unihop", "spectrum", "--geometry", "chain",
+         "--sites", "120", "--kappa1", "1000"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("computation error:")

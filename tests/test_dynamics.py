@@ -8,8 +8,9 @@ from scipy.special import i0
 from unihop import (
     EvolveConfig,
     Geometry,
+    FluxDrive,
+    LaserParams,
     LatticeSpec,
-    Method,
     OverflowAbort,
     StateVector,
     ValidationError,
@@ -18,6 +19,8 @@ from unihop import (
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
+    laser_evolve,
+    monodromy,
     propagator_entry_unidirectional,
     revival_error,
     single_site_state,
@@ -245,12 +248,38 @@ class TestRk4:
         with pytest.raises(ValidationError):
             evolve_rk4(spec, c0, EvolveConfig(t_end=1.0, dt=0.01), flux_rate=0.5)
 
-    def test_method_mismatch(self):
-        spec = chain(4)
-        c0 = single_site_state(spec, 0)
-        cfg = EvolveConfig(t_end=1.0, dt=0.01, method=Method.ClosedForm)
-        with pytest.raises(ValidationError):
-            evolve_rk4(spec, c0, cfg)
+
+def _run_rk4(dt):
+    spec = chain(4, kappa1=2.0)  # fastest scale |kappa1| = 2
+    evolve_rk4(spec, single_site_state(spec, 3), EvolveConfig(t_end=0.5, dt=dt))
+
+
+def _run_monodromy(dt):
+    spec = ring(4, kappa1=3.0)  # |kappa1| = 3 beats the drive rate F = pi/2
+    monodromy(spec, FluxDrive(phi0_rate=1.0, sites=4), dt)
+
+
+def _run_laser(dt):
+    # |gain - loss| = 2 beats the hopping |forward| = 1 (backward cancels)
+    params = LaserParams(
+        gain=2.0, loss=0.0, dg=0.0, delta_am=0.5, delta_fm=0.5,
+        phi=-np.pi / 2, detuning=0.0,
+    )
+    window = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=0j, window=(-10, 10))
+    laser_evolve(params, gaussian_state(window, 0.0, 2.0), EvolveConfig(t_end=0.5, dt=dt))
+
+
+@pytest.mark.parametrize(
+    "run, scale",
+    [(_run_rk4, 2.0), (_run_monodromy, 3.0), (_run_laser, 2.0)],
+    ids=["evolve_rk4", "monodromy", "laser_evolve"],
+)
+def test_step_rule_boundary(run, scale):
+    # every integrator shares one rule: dt <= 0.05 / scale, sharp at the bound
+    bound = 0.05 / scale
+    run(bound)
+    with pytest.raises(ValidationError, match="does not resolve"):
+        run(bound * (1.0 + 1e-9))
 
 
 class TestObservables:

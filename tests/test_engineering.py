@@ -13,7 +13,6 @@ from unihop import (
     Geometry,
     LaserParams,
     LatticeSpec,
-    Method,
     ModulationProtocol,
     RootNotFoundError,
     StalledIterationError,
@@ -422,10 +421,6 @@ class TestLaserMapping:
         single = StateVector(offset=0, amps=np.ones(1, dtype=complex))
         with pytest.raises(ValidationError):
             laser_evolve(params, single, EvolveConfig(t_end=1.0, dt=0.01))
-        c0 = StateVector(offset=0, amps=np.array([1.0, 0.0], dtype=complex))
-        closed_cfg = EvolveConfig(t_end=1.0, dt=0.01, method=Method.ClosedForm)
-        with pytest.raises(ValidationError):
-            laser_evolve(params, c0, closed_cfg)
         with pytest.raises(ValidationError):
             laser_evolve(
                 params,

@@ -128,6 +128,12 @@ class TestBuildHamiltonian:
         fwd, bwd, diag = hop_parts(spec)
         assert np.array_equal(fwd + bwd + diag, build_hamiltonian(spec).entries)
 
+    def test_two_site_ring_sums_corner_bonds(self):
+        # the chain bond and the wrap bond join the same pair of sites
+        h = build_hamiltonian(ring(2, kappa1=1 - 2j, kappa2=0.3, force=-0.5)).entries
+        assert h[0, 1] == h[1, 0] == (1 - 2j) + 0.3
+        assert np.array_equal(np.diag(h), [0.0, -0.5])
+
     def test_matrix_is_read_only(self):
         h = build_hamiltonian(chain(3))
         with pytest.raises(ValueError):
@@ -209,6 +215,18 @@ class TestRhs:
         parts = alpha * rhs(spec, 0.9, StateVector(offset=0, amps=a_amps), flux_rate=0.4).amps
         parts = parts + beta * rhs(spec, 0.9, StateVector(offset=0, amps=b_amps), flux_rate=0.4).amps
         assert np.max(np.abs(combo.amps - parts)) <= 1e-13 * np.max(np.abs(parts))
+
+    def test_ring_flux_with_force_keeps_onsite_term(self):
+        rng = np.random.default_rng(5)
+        spec = ring(5, kappa1=0.9 - 0.2j, kappa2=0.4, force=0.7)
+        t, flux_rate = 1.3, 0.45
+        amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+        fwd, bwd, _ = hop_parts(spec)
+        phase = np.exp(1j * flux_rate * t)
+        h = phase * fwd + np.conj(phase) * bwd + np.diag(0.7 * np.arange(5))
+        expected = -1j * (h @ amps)
+        got = rhs(spec, t, StateVector(offset=0, amps=amps), flux_rate=flux_rate)
+        assert np.max(np.abs(got.amps - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_flux_requires_ring(self):
         spec = chain(3)
