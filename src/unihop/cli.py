@@ -218,6 +218,14 @@ def _evolve_config(resolved: dict, t_end: float, dt: float) -> EvolveConfig:
     )
 
 
+def _period_step(period: float, resolved: dict) -> float:
+    """The RK4 step period / steps_per_period of bloch and floquet."""
+    steps = resolved["steps_per_period"]
+    if steps < 1:
+        raise ValidationError(f"steps_per_period must be >= 1, got {steps}")
+    return period / steps
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -358,7 +366,7 @@ def _cmd_bloch(args) -> int:
         return 0
     t_b = 2.0 * math.pi / abs(resolved["force"])
     c0 = _initial_state(resolved, spec)
-    cfg = _evolve_config(resolved, resolved["periods"] * t_b, t_b / resolved["steps_per_period"])
+    cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
     traj = evolve_rk4(spec, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
@@ -391,7 +399,7 @@ def _cmd_floquet(args) -> int:
         geometry=Geometry.Ring, kappa1=kappa1, kappa2=kappa2, sites=resolved["sites"]
     )
     drive = FluxDrive(phi0_rate=resolved["phi0_rate"], sites=resolved["sites"])
-    dt = drive.period / resolved["steps_per_period"]
+    dt = _period_step(drive.period, resolved)
     report = monodromy(spec, drive, dt)
     analytic = None
     if kappa2 == 0j:

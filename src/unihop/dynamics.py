@@ -147,33 +147,42 @@ def gaussian_state(spec: LatticeSpec, center: float, width: float) -> StateVecto
     return StateVector(offset=spec.offset, amps=amps)
 
 
+def _factorial_powers(z: complex, j) -> np.ndarray:
+    """The kernel z^j / j! for integers j >= 0 (the indicator of j = 0 at z = 0).
+
+    Evaluated through exp(j log z - lgamma(j+1)) so large j neither overflow
+    nor lose the factorial cancellation.  It is the closed-form propagator
+    with z = -i kappa1 t and the Wannier-Stark amplitude with z = kappa1/F.
+    """
+    j = np.asarray(j, dtype=float)
+    if z == 0:
+        return (j == 0).astype(complex)
+    return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
+
+
+def _guard_overflow(amps: np.ndarray, t: float) -> None:
+    """The overflow guard: abort once max|c| exceeds 1e150 or is not finite."""
+    peak = float(np.max(np.abs(amps)))
+    if not math.isfinite(peak) or peak > _OVERFLOW_LIMIT:
+        raise OverflowAbort(
+            f"amplitude overflow (max|c| > 1e150) at t = {t:.6g}; "
+            "secular growth can be followed by RK4 with renormalize=True"
+        )
+
+
 def propagator_entry_unidirectional(kappa1: complex, t: float, n: int, l: int) -> complex:
     """Matrix element U_{n,l}(t) = (-i kappa1 t)^{l-n} / (l-n)! (0 for l < n).
 
-    Evaluated through exp(j log z - lgamma(j+1)) so large separations j = l-n
-    neither overflow nor lose the factorial cancellation.
+    An entry beyond the floating-point range raises :class:`OverflowAbort`.
     """
-    kappa1 = complex(kappa1)
-    j = l - n
-    if j < 0:
+    if l < n:
         return 0j
-    z = -1j * kappa1 * t
-    if j == 0:
-        return 1.0 + 0j
-    if z == 0:
-        return 0j
-    return complex(cmath.exp(j * cmath.log(z) - gammaln(j + 1.0)))
-
-
-def _chain_kernel_coeffs(kappa1: complex, t: float, dim: int) -> np.ndarray:
-    """First row u_j = (-i kappa1 t)^j / j! of the triangular Toeplitz kernel."""
-    z = -1j * kappa1 * t
-    u = np.zeros(dim, dtype=complex)
-    u[0] = 1.0
-    if z != 0 and dim > 1:
-        j = np.arange(1, dim, dtype=float)
-        u[1:] = np.exp(j * cmath.log(z) - gammaln(j + 1.0))
-    return u
+    if l == n:
+        return 1.0 + 0j  # the diagonal is exactly 1, as in the chain kernel
+    value = complex(_factorial_powers(-1j * complex(kappa1) * t, l - n))
+    if not cmath.isfinite(value):
+        raise OverflowAbort(f"propagator entry U_{{{n},{l}}}({t:.6g}) overflows")
+    return value
 
 
 def _observables(
@@ -214,7 +223,8 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
 
     Chain geometries apply the triangular factorial kernel (site 0 truncates
     the flow; sites above the initial support stay exactly zero).  The ring
-    applies the discrete Bloch kernel via FFT.
+    applies the discrete Bloch kernel via FFT.  As for RK4, growth beyond
+    max|c| > 1e150 at any requested time aborts with :class:`OverflowAbort`.
     """
     if spec.kappa2 != 0j:
         raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
@@ -239,11 +249,13 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
             out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))
     else:
         first_col = np.zeros(dim, dtype=complex)
+        first_col[0] = 1.0  # the diagonal; toeplitz ignores u[0]
         for i, t in enumerate(t_arr):
-            u = _chain_kernel_coeffs(spec.kappa1, float(t), dim)
-            first_col[0] = u[0]
-            kernel = scipy.linalg.toeplitz(first_col, u)
-            out[i] = kernel @ c0.amps
+            # first row u_j = (-i kappa1 t)^j / j! of the triangular Toeplitz kernel
+            u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(dim))
+            out[i] = scipy.linalg.toeplitz(first_col, u) @ c0.amps
+    for t, row in zip(t_arr, out):
+        _guard_overflow(row, t)
     return _observables(t_arr, out, spec.offset, np.asarray(c0.amps), None, False)
 
 
@@ -285,7 +297,12 @@ def _integrate_rk4(
             y0[None, :].astype(complex),
             np.zeros(1),
         )
-    n_steps = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
+    steps = t_end / dt * (1.0 - 1e-12)
+    if not math.isfinite(steps):
+        raise ValidationError(
+            f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take"
+        )
+    n_steps = max(1, math.ceil(steps))
     h = t_end / n_steps
     y = y0.astype(complex)
     log_scale = 0.0
@@ -307,12 +324,7 @@ def _integrate_rk4(
             y = y / scale
             log_scale += math.log(scale)
         else:
-            peak = float(np.max(np.abs(y)))
-            if not math.isfinite(peak) or peak > _OVERFLOW_LIMIT:
-                raise OverflowAbort(
-                    f"amplitude overflow (max|c| > 1e150) at t = {t_next:.6g}; "
-                    "secular growth can be followed with renormalize=True"
-                )
+            _guard_overflow(y, t_next)
         if step_hook is not None:
             step_hook(t_next, y)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
@@ -320,6 +332,21 @@ def _integrate_rk4(
             rec_states.append(y.copy())
             rec_logs.append(log_scale)
     return np.asarray(rec_times), np.asarray(rec_states), np.asarray(rec_logs)
+
+
+def _evolve(
+    deriv, c0: StateVector, cfg: EvolveConfig, scale: float, what: str, step_hook=None
+) -> StateTrajectory:
+    """The RK4 front end: nonzero state, step rule, integration, observables."""
+    if c0.norm() == 0.0:
+        raise ValidationError("initial state must be nonzero")
+    if cfg.t_end > 0.0:
+        _require_resolved(cfg.dt, scale, what)
+    y0 = np.asarray(c0.amps)
+    times, states, logs = _integrate_rk4(
+        deriv, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize, step_hook
+    )
+    return _observables(times, states, c0.offset, y0, logs, cfg.renormalize)
 
 
 def evolve_rk4(
@@ -336,18 +363,8 @@ def evolve_rk4(
     t_end/n_steps <= dt is then used so the final time is hit exactly.
     """
     _check_state(spec, c0)
-    if c0.norm() == 0.0:
-        raise ValidationError("initial state must be nonzero")
     deriv = _lattice_deriv(spec, flux_rate)
-    if cfg.t_end > 0.0:
-        _require_resolved(cfg.dt, _dt_scale(spec, flux_rate), "the fastest scale")
-
-    times, states, logs = _integrate_rk4(
-        deriv, np.asarray(c0.amps), cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize
-    )
-    return _observables(
-        times, states, spec.offset, np.asarray(c0.amps), logs, cfg.renormalize
-    )
+    return _evolve(deriv, c0, cfg, _dt_scale(spec, flux_rate), "the fastest scale")
 
 
 def center_of_mass(state: StateVector) -> float:

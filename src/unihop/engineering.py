@@ -41,13 +41,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
 
-from .dynamics import (
-    EvolveConfig,
-    StateTrajectory,
-    _integrate_rk4,
-    _observables,
-    _require_resolved,
-)
+from .dynamics import EvolveConfig, StateTrajectory, _evolve, _integrate_rk4
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -132,6 +126,18 @@ class ModulationProtocol:
     def gamma(self) -> complex:
         return complex(self.alpha, self.beta) * self.t1 / 4.0
 
+    @property
+    def _schedule(self) -> tuple[tuple[float, float], ...]:
+        """One period of h(t) as (duration, h) pairs: +1 on the first quarter
+        of [0, t1], -1 on its middle half, +1 on its last quarter, 0 after."""
+        quarter = self.t1 / 4.0
+        return (
+            (quarter, 1.0),
+            (2.0 * quarter, -1.0),
+            (quarter, 1.0),
+            (self.period - self.t1, 0.0),
+        )
+
     @classmethod
     def with_shape(
         cls, theta: float, x: float, gamma: complex, period: float = 1.0
@@ -157,13 +163,11 @@ def modulation_envelope(protocol: ModulationProtocol, t: float) -> float:
     tau = math.fmod(t, protocol.period)
     if tau < 0:
         tau += protocol.period
-    quarter = protocol.t1 / 4.0
-    if tau < quarter:
-        return 1.0
-    if tau < 3.0 * quarter:
-        return -1.0
-    if tau < protocol.t1:
-        return 1.0
+    end = 0.0
+    for duration, h in protocol._schedule:
+        end += duration
+        if tau < end:
+            return h
     return 0.0
 
 
@@ -208,43 +212,38 @@ def _closed_form_hopping(
 
 
 def effective_hopping_quadrature(
-    protocol: ModulationProtocol, kappa: float = 1.0, samples_per_branch: int = 2048
+    protocol: ModulationProtocol, kappa: float = 1.0
 ) -> EffectiveHopping:
     """Effective hopping by direct numerical time-averaging.
 
     Averages kappa exp[i int_0^t dt' (V_n - V_{n+/-1})] over one period, with
     the inner phase integral accumulated numerically branch by branch (the
     envelope is constant on each branch, so the trapezoid accumulation is
-    exact) and the outer average done by composite Simpson.  Both site
+    exact) and the outer average done by composite Simpson on 4097 samples
+    per branch; the kick phase acts on the quiet tail (h = 0).  Both site
     parities are averaged and must agree (the closed forms are parity-free
     because sinc is even); disagreement flags a quadrature fault.
 
     This is an independent evaluation route used to cross-check the closed
     forms in :func:`effective_hopping`.
     """
-    if samples_per_branch < 8:
-        raise ValidationError("samples_per_branch too small for a stable average")
-    t1, period, theta = protocol.t1, protocol.period, protocol.theta
     amplitude = protocol.drive_amplitude
-    quarter = t1 / 4.0
-    branches = (
-        (0.0, quarter, 1.0, 0.0),
-        (quarter, 3.0 * quarter, -1.0, 0.0),
-        (3.0 * quarter, t1, 1.0, 0.0),
-        (t1, period, 0.0, 1.0),
-    )
     results = {}
     for parity_sign in (1.0, -1.0):  # even / odd site n
         for kick_sign, key in ((-1.0, "rho"), (1.0, "sigma")):
             total = 0j
             w_start = 0.0
-            for a, b, h, kicked in branches:
-                ts = np.linspace(a, b, 2 * samples_per_branch + 1)
+            a = 0.0
+            for duration, h in protocol._schedule:
+                b = a + duration
+                ts = np.linspace(a, b, 4097)
                 w = w_start + h * (ts - a)
-                phase = parity_sign * amplitude * w + kick_sign * theta * kicked
+                kick = kick_sign * protocol.theta * (h == 0.0)
+                phase = parity_sign * amplitude * w + kick
                 total += simpson(np.exp(1j * phase), x=ts)
                 w_start = w_start + h * (b - a)
-            results[(parity_sign, key)] = kappa * total / period
+                a = b
+            results[(parity_sign, key)] = kappa * total / protocol.period
     for key in ("rho", "sigma"):
         gap = abs(results[(1.0, key)] - results[(-1.0, key)])
         if gap > 1e-10 * max(1.0, abs(kappa)):
@@ -256,10 +255,7 @@ def effective_hopping_quadrature(
 
 
 def effective_hopping(
-    protocol: ModulationProtocol,
-    kappa: float = 1.0,
-    check_quadrature: bool = True,
-    quadrature_tol: float = 1e-8,
+    protocol: ModulationProtocol, kappa: float = 1.0, check_quadrature: bool = True
 ) -> EffectiveHopping:
     """Closed-form effective hopping (rho, sigma) of the modulated lattice.
 
@@ -267,12 +263,12 @@ def effective_hopping(
     e^{+i theta}; sinc(0) = 1 fills the removable singularity.  Unless
     disabled, the independent time-average of
     :func:`effective_hopping_quadrature` is evaluated as a self-oracle and
-    must agree to ``quadrature_tol``.
+    must agree to 1e-8 * max(1, |kappa|).
     """
     closed = _closed_form_hopping(protocol.theta, protocol.x, protocol.gamma, kappa)
     if check_quadrature:
         quad = effective_hopping_quadrature(protocol, kappa)
-        tol = quadrature_tol * max(1.0, abs(kappa))
+        tol = 1e-8 * max(1.0, abs(kappa))
         gap = max(abs(closed.rho - quad.rho), abs(closed.sigma - quad.sigma))
         if gap > tol:
             raise ComputationError(
@@ -434,17 +430,12 @@ def rwa_validate(
                 f"t_end = {t_end:.6g} is not an integer number of drive periods "
                 f"at ratio {ratio:g} (T = {period:.6g})"
             )
-        quarter = scaled.t1 / 4.0
-        segments = (
-            (quarter, 1.0),
-            (2.0 * quarter, -1.0),
-            (quarter, 1.0),
-            (scaled.period - scaled.t1, 0.0),
-        )
         dt = dt_factor / max(abs(kappa), abs(scaled.drive_amplitude), 1e-300)
         y = np.asarray(c0.amps, dtype=complex)
         for _ in range(m_periods):
-            for i_seg, (span, h_val) in enumerate(segments):
+            for span, h_val in scaled._schedule:
+                if h_val == 0.0:  # the gradient kick opens the quiet tail
+                    y = kick * y
                 diag = scaled.drive_amplitude * h_val * even
 
                 def deriv(t: float, state: np.ndarray, d=diag) -> np.ndarray:
@@ -454,8 +445,6 @@ def rwa_validate(
                     deriv, y, span, dt, record_every=10**9, renormalize=False
                 )
                 y = states[-1]
-                if i_seg == 2:
-                    y = kick * y
             y = unwind * y
         reference = scipy.linalg.expm(-1j * h_eff * t_end) @ np.asarray(c0.amps)
         scale = float(np.linalg.norm(reference))
@@ -564,8 +553,6 @@ def laser_evolve(
     """
     if len(c0) < 2:
         raise ValidationError("the mode window must span at least 2 modes")
-    if c0.norm() == 0.0:
-        raise ValidationError("initial state must be nonzero")
     window = (c0.offset, c0.offset + len(c0) - 1)
     h = laser_hamiltonian(params, window).entries
     extent = float(np.abs(np.arange(window[0], window[1] + 1)).max())
@@ -577,8 +564,6 @@ def laser_evolve(
         abs(params.gain - params.loss),
         params.dg * extent**2,
     )
-    if cfg.t_end > 0.0:
-        _require_resolved(cfg.dt, scale, "the laser scales")
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
         return -1j * (h @ y)
@@ -594,13 +579,4 @@ def laser_evolve(
                 f"t = {t:.6g} (limit {edge_tol:g}); widen the mode window"
             )
 
-    times, states, logs = _integrate_rk4(
-        deriv,
-        np.asarray(c0.amps),
-        cfg.t_end,
-        cfg.dt,
-        cfg.record_every,
-        cfg.renormalize,
-        step_hook=edge_monitor,
-    )
-    return _observables(times, states, c0.offset, np.asarray(c0.amps), logs, cfg.renormalize)
+    return _evolve(deriv, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)

@@ -95,27 +95,20 @@ def fold_quasi_energy(mu, force: float):
     return re + 1j * mu.imag
 
 
-def quasi_energies_analytic(
-    kappa1: complex, drive: FluxDrive, constant_phase: bool = False
-) -> QuasiEnergyReport:
+def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyReport:
     """Quasi-energies from the one-period average of the driven dispersion.
 
     mu_l = (kappa1 / T_B) e^{-i q_l} int_0^{T_B} e^{iFt} dt with
     q_l = 2 pi l / (N+1).  The phase integral (e^{iF T_B} - 1)/(iF) vanishes
     identically at T_B = 2 pi / F, so every mu_l collapses to 0; the integral
-    is evaluated, not assumed.  ``constant_phase`` replaces e^{iFt} by 1 (the
-    undriven limit), recovering the static ring spectrum kappa1 e^{-i q_l} --
-    a testing hook for the integral plumbing.
+    is evaluated, not assumed.
     """
     kappa1 = complex(kappa1)
     if not (math.isfinite(kappa1.real) and math.isfinite(kappa1.imag)):
         raise ValidationError("kappa1 must be finite")
     t_b = drive.period
     force = drive.force
-    if constant_phase:
-        integral = complex(t_b)
-    else:
-        integral = (cmath.exp(1j * force * t_b) - 1.0) / (1j * force)
+    integral = (cmath.exp(1j * force * t_b) - 1.0) / (1j * force)
     q = 2.0 * np.pi * np.arange(drive.sites) / drive.sites
     mu = (kappa1 / t_b) * integral * np.exp(-1j * q)
     return QuasiEnergyReport(mu=fold_quasi_energy(mu, force))

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
-from scipy.special import gammaln, i0
+from scipy.sparse.csgraph import connected_components
+from scipy.special import i0
 
+from .dynamics import _factorial_powers
 from .errors import ComputationError, ValidationError
 from .lattice import (
     Geometry,
@@ -59,28 +61,29 @@ class DispersionSample:
 class SpectrumCluster:
     """A degenerate eigenvalue cluster with its Jordan structure.
 
-    ``jordan_blocks`` lists the block sizes (descending); ``ep_order`` is the
-    largest block, i.e. the order of the exceptional point sitting at
-    ``value`` (1 for a diagonalizable cluster).  ``perturbation_radius`` is
-    the heuristic scatter radius scale * eps^(1/ep_order) within which
-    machine-precision perturbations smear the degenerate eigenvalues; use it
-    to judge whether a clustering tolerance was adequate.  ``rank_flagged``
+    ``jordan_blocks`` lists the block sizes (descending); ``multiplicity`` is
+    their sum and ``ep_order`` the largest block, i.e. the order of the
+    exceptional point sitting at ``value`` (1 for a diagonalizable cluster).
+    ``perturbation_radius`` is the heuristic scatter radius
+    scale * eps^(1/ep_order) within which machine-precision perturbations
+    smear the degenerate eigenvalues; use it to judge whether a clustering
+    tolerance was adequate.  ``rank_flagged``
     marks rank decisions where singular values fell within a factor 10 of
     the truncation threshold.
     """
 
     value: complex
-    multiplicity: int
     jordan_blocks: tuple[int, ...]
-    ep_order: int
     perturbation_radius: float
     rank_flagged: bool = False
 
-    def __post_init__(self) -> None:
-        if sum(self.jordan_blocks) != self.multiplicity:
-            raise ValidationError("jordan block sizes must sum to the multiplicity")
-        if self.ep_order != max(self.jordan_blocks):
-            raise ValidationError("ep_order must equal the largest jordan block")
+    @property
+    def multiplicity(self) -> int:
+        return sum(self.jordan_blocks)
+
+    @property
+    def ep_order(self) -> int:
+        return max(self.jordan_blocks)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     clusters: tuple[SpectrumCluster, ...]
-    is_defective: bool
 
     def __post_init__(self) -> None:
         eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
@@ -102,8 +104,11 @@ class SpectrumReport:
         object.__setattr__(self, "eigenvalues", eigenvalues)
         if sum(c.multiplicity for c in self.clusters) != eigenvalues.size:
             raise ValidationError("cluster multiplicities must sum to the dimension")
-        if self.is_defective != any(c.ep_order > 1 for c in self.clusters):
-            raise ValidationError("is_defective inconsistent with cluster ep orders")
+
+    @property
+    def is_defective(self) -> bool:
+        """True when some cluster is an exceptional point (a block of size > 1)."""
+        return any(c.ep_order > 1 for c in self.clusters)
 
     @property
     def rank_flagged(self) -> bool:
@@ -150,17 +155,15 @@ def bloch_dispersion(kappa1: complex, q_values) -> list[DispersionSample]:
     ]
 
 
-def _simple_clusters(eigenvalues: np.ndarray, scale: float) -> tuple[SpectrumCluster, ...]:
-    radius = scale * _EPS
-    return tuple(
-        SpectrumCluster(
-            value=complex(ev),
-            multiplicity=1,
-            jordan_blocks=(1,),
-            ep_order=1,
-            perturbation_radius=radius,
-        )
-        for ev in eigenvalues
+def _cluster(
+    value: complex, blocks: tuple[int, ...], scale: float, flagged: bool = False
+) -> SpectrumCluster:
+    """A cluster whose radius is scale * eps^(1/ep_order), eps = machine epsilon."""
+    return SpectrumCluster(
+        value=complex(value),
+        jordan_blocks=blocks,
+        perturbation_radius=scale * _EPS ** (1.0 / max(blocks)),
+        rank_flagged=flagged,
     )
 
 
@@ -199,23 +202,10 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
 
     scale = max(abs(spec.kappa1), _EPS)
     if spec.kappa1 == 0:
-        clusters: tuple[SpectrumCluster, ...] = (
-            SpectrumCluster(
-                value=0j,
-                multiplicity=dim,
-                jordan_blocks=(1,) * dim,
-                ep_order=1,
-                perturbation_radius=scale * _EPS,
-            ),
-        )
+        clusters = (_cluster(0j, (1,) * dim, scale),)
     else:
-        clusters = _simple_clusters(eigenvalues, scale)
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        eigenvectors=vectors,
-        clusters=clusters,
-        is_defective=False,
-    )
+        clusters = tuple(_cluster(ev, (1,), scale) for ev in eigenvalues)
+    return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
 
 
 def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
@@ -273,24 +263,11 @@ def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, .
 
 def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     """Group eigenvalues into connected clusters of pairwise distance <= tol."""
-    dim = eigenvalues.size
-    parent = list(range(dim))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if abs(eigenvalues[i] - eigenvalues[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    close = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) <= tol
+    _, labels = connected_components(close, directed=False)
     groups: dict[int, list[int]] = {}
-    for i in range(dim):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
     return sorted(groups.values(), key=lambda g: (eigenvalues[g[0]].real, eigenvalues[g[0]].imag))
 
 
@@ -312,21 +289,6 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     entries = np.asarray(h.entries, dtype=complex)
     dim = entries.shape[0]
     scale = float(np.abs(entries).max())
-    if scale == 0.0:
-        # zero matrix: one maximally degenerate but diagonalizable cluster
-        cluster = SpectrumCluster(
-            value=0j,
-            multiplicity=dim,
-            jordan_blocks=(1,) * dim,
-            ep_order=1,
-            perturbation_radius=0.0,
-        )
-        return SpectrumReport(
-            eigenvalues=np.zeros(dim, dtype=complex),
-            eigenvectors=np.eye(dim, dtype=complex),
-            clusters=(cluster,),
-            is_defective=False,
-        )
     try:
         eigenvalues, vectors = np.linalg.eig(entries)
     except np.linalg.LinAlgError as exc:
@@ -334,49 +296,14 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
 
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(eigenvalues, cluster_tol * scale):
-        multiplicity = len(group)
         value = complex(eigenvalues[group].mean())
-        if multiplicity == 1:
-            clusters.append(
-                SpectrumCluster(
-                    value=value,
-                    multiplicity=1,
-                    jordan_blocks=(1,),
-                    ep_order=1,
-                    perturbation_radius=scale * _EPS,
-                )
-            )
+        if len(group) == 1:
+            clusters.append(_cluster(value, (1,), scale))
             continue
-        shifted = entries - value * np.eye(dim)
-        blocks, flagged = _jordan_blocks(shifted, multiplicity)
-        ep_order = max(blocks)
-        clusters.append(
-            SpectrumCluster(
-                value=value,
-                multiplicity=multiplicity,
-                jordan_blocks=blocks,
-                ep_order=ep_order,
-                perturbation_radius=scale * _EPS ** (1.0 / ep_order),
-                rank_flagged=flagged,
-            )
-        )
-    is_defective = any(c.ep_order > 1 for c in clusters)
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        eigenvectors=None if is_defective else vectors,
-        clusters=tuple(clusters),
-        is_defective=is_defective,
-    )
-
-
-def _ws_amplitudes(z: complex, count: int) -> np.ndarray:
-    """Amplitudes z^j / j! for j = 0..count-1, via stable log evaluation."""
-    j = np.arange(count, dtype=float)
-    if z == 0:
-        out = np.zeros(count, dtype=complex)
-        out[0] = 1.0
-        return out
-    return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
+        blocks, flagged = _jordan_blocks(entries - value * np.eye(dim), len(group))
+        clusters.append(_cluster(value, blocks, scale, flagged))
+    report = SpectrumReport(eigenvalues, vectors, tuple(clusters))
+    return replace(report, eigenvectors=None) if report.is_defective else report
 
 
 def wannier_stark_states(spec: LatticeSpec, l_range) -> list[WannierStarkState]:
@@ -413,7 +340,7 @@ def wannier_stark_states(spec: LatticeSpec, l_range) -> list[WannierStarkState]:
             raise ValidationError(f"ladder index {l} outside the window")
         amps = np.zeros(dim, dtype=complex)
         count = l - offset + 1  # sites offset..l carry weight
-        amps[:count] = _ws_amplitudes(z, count)[::-1]
+        amps[:count] = _factorial_powers(z, np.arange(count))[::-1]
         tail_mass = 0.0
         if spec.geometry is Geometry.InfiniteChain:
             r = abs(z)

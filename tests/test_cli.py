@@ -482,6 +482,46 @@ class TestExitCodes:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "1"],
+            ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15",
+             "--n-max", "15", "--t-end", "1"],
+        ],
+        ids=["evolve", "laser"],
+    )
+    def test_uncountable_steps_are_a_validation_error(self, capsys, argv):
+        # t_end / dt overflows to inf, so no step count exists
+        code, _, err = run(argv + ["--dt", "1e-320"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "too many steps" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bloch", "--geometry", "chain", "--sites", "4", "--force", "1"],
+            ["floquet", "--sites", "3"],
+        ],
+        ids=["bloch", "floquet"],
+    )
+    def test_zero_steps_per_period_is_a_validation_error(self, capsys, argv):
+        code, _, err = run(argv + ["--steps-per-period", "0"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "steps_per_period must be >= 1" in err
+
+    @pytest.mark.parametrize("geometry", ["chain", "ring"])
+    def test_closed_form_overflow_maps_to_exit_3(self, capsys, geometry):
+        code, _, err = run(
+            ["evolve", "--geometry", geometry, "--sites", "400", "--method", "closed",
+             "--t-end", "1000", "--samples", "3"],
+            capsys,
+        )
+        assert code == 3
+        assert "amplitude overflow" in err
+
     def test_malformed_complex_literal(self, capsys):
         code, _, err = run(
             ["spectrum", "--geometry", "chain", "--sites", "3", "--kappa1", "2+3x"],

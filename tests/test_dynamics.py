@@ -51,6 +51,10 @@ class TestPropagatorEntry:
     def test_strictly_causal(self):
         assert propagator_entry_unidirectional(1.0, 2.0, 3, 1) == 0j
 
+    def test_overflowing_entry_aborts(self):
+        with pytest.raises(OverflowAbort):
+            propagator_entry_unidirectional(1e6, 1.0, 0, 100)
+
     def test_large_separation_is_finite(self):
         u = propagator_entry_unidirectional(1.0, 1.0, 0, 300)
         assert np.isfinite(u.real) and np.isfinite(u.imag)
@@ -139,6 +143,15 @@ class TestClosedForm:
             evolve_closed_form(spec, StateVector(offset=0, amps=np.zeros(4)), [1.0])
         with pytest.raises(ValidationError):
             evolve_closed_form(spec, c0, [np.inf])
+
+    @pytest.mark.parametrize("spec", [chain(400), ring(400)], ids=["chain", "ring"])
+    def test_overflow_aborts(self, spec):
+        # |kappa1 t|^j / j! passes 1e150 on the chain and e^{|kappa1| t} on the
+        # ring overflows outright; both must abort as RK4 does, not emit NaN
+        c0 = single_site_state(spec, 200)
+        assert np.isfinite(evolve_closed_form(spec, c0, [1.0]).amps).all()
+        with pytest.raises(OverflowAbort):
+            evolve_closed_form(spec, c0, [0.0, 500.0, 1000.0])
 
 
 class TestEvolveConfig:

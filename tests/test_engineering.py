@@ -173,11 +173,6 @@ class TestEffectiveHopping:
         assert qa.rho == pytest.approx(qb.rho, abs=1e-10)
         assert qa.sigma == pytest.approx(qb.sigma, abs=1e-10)
 
-    def test_samples_validation(self):
-        p = ModulationProtocol.with_shape(0.5, 0.5, 1.0)
-        with pytest.raises(ValidationError):
-            effective_hopping_quadrature(p, samples_per_branch=4)
-
 
 class TestSolveUnidirectional:
     def test_worked_point_matches_frozen_root(self):

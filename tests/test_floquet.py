@@ -85,13 +85,6 @@ class TestAnalyticQuasiEnergies:
         report = quasi_energies_analytic(0.0, drive)
         assert np.array_equal(report.mu, np.zeros(5))
 
-    def test_constant_phase_recovers_static_ring_spectrum(self):
-        kappa1 = 0.1
-        drive = FluxDrive(phi0_rate=1.0, sites=5)
-        report = quasi_energies_analytic(kappa1, drive, constant_phase=True)
-        q = 2 * np.pi * np.arange(5) / 5
-        assert np.allclose(report.mu, kappa1 * np.exp(-1j * q), atol=1e-14)
-
     def test_kappa_validation(self):
         drive = FluxDrive(phi0_rate=1.0, sites=4)
         with pytest.raises(ValidationError):

@@ -12,6 +12,7 @@ from unihop import (
     Geometry,
     HamiltonianMatrix,
     LatticeSpec,
+    SpectrumCluster,
     ValidationError,
     analyze_spectrum,
     bloch_dispersion,
@@ -173,6 +174,19 @@ class TestAnalyzeSpectrum:
         radius = analyze_spectrum(build_hamiltonian(chain(sites))).clusters[0].perturbation_radius
         eps = np.finfo(float).eps
         assert radius == pytest.approx(eps ** (1.0 / sites), rel=1e-12)
+
+    def test_clustering_is_transitive(self):
+        # the ends are 1.2e-16 apart, beyond tol = 1e-16, but each is within
+        # tol of the middle value, so all three form one cluster
+        entries = np.diag([0.0, 0.6e-16, 1.2e-16, 1.0]).astype(complex)
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries), cluster_tol=1e-16)
+        assert [c.jordan_blocks for c in report.clusters] == [(1, 1, 1), (1,)]
+        assert not report.is_defective
+
+    def test_cluster_derives_multiplicity_and_ep_order(self):
+        c = SpectrumCluster(value=0j, jordan_blocks=(3, 1), perturbation_radius=0.0)
+        assert c.multiplicity == 4
+        assert c.ep_order == 3
 
     def test_loose_tolerance_merging_distinct_eigenvalues_fails_loud(self):
         entries = np.diag([0.0, 1e-3]).astype(complex)
