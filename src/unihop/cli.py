@@ -491,7 +491,6 @@ _RWA_FIELDS = (
     ("sites", "int", 10),
     ("site", "int", None),
     ("t_end", "float", None),
-    ("dt_factor", "float", 0.02),
     ("output", "str", "rwa.csv"),
 )
 
@@ -525,7 +524,6 @@ def _cmd_rwa(args) -> int:
         sites,
         StateVector(offset=0, amps=amps),
         resolved["t_end"],
-        dt_factor=resolved["dt_factor"],
     )
     write_rwa_csv(samples, resolved["output"])
     discs = [s.discrepancy for s in samples]

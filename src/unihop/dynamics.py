@@ -157,7 +157,8 @@ def _factorial_powers(z: complex, j) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     if z == 0:
         return (j == 0).astype(complex)
-    return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+        return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
 
 
 def _guard_overflow(amps: np.ndarray, t: float) -> None:
@@ -241,19 +242,20 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
 
     dim = spec.dim
     out = np.empty((t_arr.size, dim), dtype=complex)
-    if spec.geometry is Geometry.Ring:
-        q = 2.0 * np.pi * np.arange(dim) / dim
-        energies = spec.kappa1 * np.exp(1j * q)
-        spectrum = np.fft.fft(c0.amps)
-        for i, t in enumerate(t_arr):
-            out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))
-    else:
-        first_col = np.zeros(dim, dtype=complex)
-        first_col[0] = 1.0  # the diagonal; toeplitz ignores u[0]
-        for i, t in enumerate(t_arr):
-            # first row u_j = (-i kappa1 t)^j / j! of the triangular Toeplitz kernel
-            u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(dim))
-            out[i] = scipy.linalg.toeplitz(first_col, u) @ c0.amps
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow guard decides
+        if spec.geometry is Geometry.Ring:
+            q = 2.0 * np.pi * np.arange(dim) / dim
+            energies = spec.kappa1 * np.exp(1j * q)
+            spectrum = np.fft.fft(c0.amps)
+            for i, t in enumerate(t_arr):
+                out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))
+        else:
+            first_col = np.zeros(dim, dtype=complex)
+            first_col[0] = 1.0  # the diagonal; toeplitz ignores u[0]
+            for i, t in enumerate(t_arr):
+                # first row u_j = (-i kappa1 t)^j / j! of the triangular Toeplitz kernel
+                u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(dim))
+                out[i] = scipy.linalg.toeplitz(first_col, u) @ c0.amps
     for t, row in zip(t_arr, out):
         _guard_overflow(row, t)
     return _observables(t_arr, out, spec.offset, np.asarray(c0.amps), None, False)

@@ -28,7 +28,7 @@ interaction-picture hopping of period m carries an extra factor e^{-i m
 theta} -- the periods average to different Hamiltonians and no static
 effective model exists; with it, the one-period average above describes the
 stroboscopic dynamics at every multiple of T, which is what
-:func:`rwa_validate` checks by direct integration.
+:func:`rwa_validate` checks by exact propagation of the drive.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
 
-from .dynamics import EvolveConfig, StateTrajectory, _evolve, _integrate_rk4
+from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -254,27 +254,24 @@ def effective_hopping_quadrature(
     return EffectiveHopping(rho=results[(1.0, "rho")], sigma=results[(1.0, "sigma")])
 
 
-def effective_hopping(
-    protocol: ModulationProtocol, kappa: float = 1.0, check_quadrature: bool = True
-) -> EffectiveHopping:
+def effective_hopping(protocol: ModulationProtocol, kappa: float = 1.0) -> EffectiveHopping:
     """Closed-form effective hopping (rho, sigma) of the modulated lattice.
 
     rho = kappa [x sinc(Gamma) + (1-x) e^{-i theta}] and sigma the same with
-    e^{+i theta}; sinc(0) = 1 fills the removable singularity.  Unless
-    disabled, the independent time-average of
-    :func:`effective_hopping_quadrature` is evaluated as a self-oracle and
-    must agree to 1e-8 * max(1, |kappa|).
+    e^{+i theta}; sinc(0) = 1 fills the removable singularity.  The
+    independent time-average of :func:`effective_hopping_quadrature` is
+    always evaluated as a self-oracle and must agree to
+    1e-8 * max(1, |kappa|).
     """
     closed = _closed_form_hopping(protocol.theta, protocol.x, protocol.gamma, kappa)
-    if check_quadrature:
-        quad = effective_hopping_quadrature(protocol, kappa)
-        tol = 1e-8 * max(1.0, abs(kappa))
-        gap = max(abs(closed.rho - quad.rho), abs(closed.sigma - quad.sigma))
-        if gap > tol:
-            raise ComputationError(
-                f"closed-form hopping disagrees with the time average by {gap:.3e} "
-                f"(tolerance {tol:.3e})"
-            )
+    quad = effective_hopping_quadrature(protocol, kappa)
+    tol = 1e-8 * max(1.0, abs(kappa))
+    gap = max(abs(closed.rho - quad.rho), abs(closed.sigma - quad.sigma))
+    if gap > tol:
+        raise ComputationError(
+            f"closed-form hopping disagrees with the time average by {gap:.3e} "
+            f"(tolerance {tol:.3e})"
+        )
     return closed
 
 
@@ -371,29 +368,23 @@ def rwa_validate(
     sites: int,
     c0: StateVector,
     t_end: float,
-    dt_factor: float = 0.02,
 ) -> list[RwaSample]:
     """Stroboscopic comparison of the exact drive against the effective model.
 
     For each ratio r the protocol is rescaled to period T = 2 pi / (r kappa)
     keeping (theta, x, Gamma) fixed (so alpha, beta grow as 1/T1), and the
-    full equations -- RK4 within each smooth branch, multiplicative kick
-    e^{-i theta n} at t1 + mT, unwinding e^{+i theta n} at each period
-    boundary -- are integrated to t_end, which must be an integer number of
-    periods at every ratio.  The result is compared against
-    exp(-i H_eff t_end) c0 built from :func:`effective_hopping`; the relative
-    discrepancy decreases with the drive rate as the rotating-wave limit is
-    approached.
-
-    ``dt_factor`` sets the integration step as dt = dt_factor / max(kappa,
-    |alpha + i beta|); it must not exceed 0.05 or the step cannot resolve the
-    drive amplitudes.  With kappa = 0 the ratios set no scale and the
-    protocol's own period is used unscaled.
+    full equations are propagated to t_end, which must be an integer number
+    of periods at every ratio.  The generator is constant on each of the four
+    branches of h(t), so each branch is the exact propagator
+    exp(-i span H_branch), built once per ratio; the multiplicative kick
+    e^{-i theta n} opens the quiet tail at t1 + mT and e^{+i theta n} unwinds
+    it at each period boundary.  The overflow guard checks the state after
+    every branch.  The result is compared against exp(-i H_eff t_end) c0
+    built from :func:`effective_hopping`; the relative discrepancy decreases
+    with the drive rate as the rotating-wave limit is approached.  With
+    kappa = 0 the ratios set no scale and the protocol's own period is used
+    unscaled.
     """
-    if not (0.0 < dt_factor <= 0.05):
-        raise ValidationError(
-            "dt_factor must lie in (0, 0.05] to resolve the drive amplitudes"
-        )
     if int(sites) != sites or sites < 2:
         raise ValidationError("need an integer sites >= 2")
     sites = int(sites)
@@ -411,7 +402,6 @@ def rwa_validate(
     kick = np.exp(-1j * protocol.theta * n_idx)
     unwind = np.exp(1j * protocol.theta * n_idx)
     even = (n_idx % 2 == 0).astype(float)
-    hop = _tridiagonal(sites, kappa, kappa)
     h_eff = _tridiagonal(sites, hopping.rho, hopping.sigma)
     samples: list[RwaSample] = []
     for ratio in ratios:
@@ -430,21 +420,21 @@ def rwa_validate(
                 f"t_end = {t_end:.6g} is not an integer number of drive periods "
                 f"at ratio {ratio:g} (T = {period:.6g})"
             )
-        dt = dt_factor / max(abs(kappa), abs(scaled.drive_amplitude), 1e-300)
+        branches = []
+        for span, h_val in scaled._schedule:
+            diag = scaled.drive_amplitude * h_val * even
+            generator = _tridiagonal(sites, kappa, kappa, diag=diag)
+            propagator = scipy.linalg.expm(-1j * span * generator)
+            branches.append((span, h_val == 0.0, propagator))
         y = np.asarray(c0.amps, dtype=complex)
+        t = 0.0
         for _ in range(m_periods):
-            for span, h_val in scaled._schedule:
-                if h_val == 0.0:  # the gradient kick opens the quiet tail
+            for span, quiet, propagator in branches:
+                if quiet:  # the gradient kick opens the quiet tail
                     y = kick * y
-                diag = scaled.drive_amplitude * h_val * even
-
-                def deriv(t: float, state: np.ndarray, d=diag) -> np.ndarray:
-                    return -1j * (hop @ state + d * state)
-
-                _, states, _ = _integrate_rk4(
-                    deriv, y, span, dt, record_every=10**9, renormalize=False
-                )
-                y = states[-1]
+                y = propagator @ y
+                t += span
+                _guard_overflow(y, t)
             y = unwind * y
         reference = scipy.linalg.expm(-1j * h_eff * t_end) @ np.asarray(c0.amps)
         scale = float(np.linalg.norm(reference))

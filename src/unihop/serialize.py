@@ -59,27 +59,12 @@ def parse_complex(text: str) -> complex:
     """Parse an a+bi / a-bi literal (also bare reals, bare imaginaries, and
     a trailing j instead of i)."""
     s = str(text).strip().replace(" ", "")
-    if not s:
-        raise ValidationError("empty complex literal")
-    try:
-        if s[-1] in "iIjJ":
-            body = s[:-1]
-            real_txt, imag_txt = "", body
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "eE":
-                    real_txt, imag_txt = body[:pos], body[pos:]
-                    break
-            if imag_txt in ("", "+"):
-                imag = 1.0
-            elif imag_txt == "-":
-                imag = -1.0
-            else:
-                imag = float(imag_txt)
-            real = float(real_txt) if real_txt else 0.0
-            return complex(real, imag)
-        return complex(float(s), 0.0)
-    except ValueError as exc:
-        raise ValidationError(f"malformed complex literal {text!r}") from exc
+    if s[-1:] in ("i", "I"):
+        s = s[:-1] + "j"
+    if "(" not in s:  # complex() alone would accept "(1+2j)"
+        with contextlib.suppress(ValueError):
+            return complex(s)
+    raise ValidationError(f"malformed complex literal {text!r}")
 
 
 def format_complex(z: complex) -> str:

@@ -277,9 +277,10 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     Eigenvalues whose mutual distance is below ``cluster_tol`` (in units of
     the largest matrix entry) are merged; each cluster's Jordan block sizes
     are recovered from the rank sequence of (H - lambda I)^k with numerical
-    ranks from singular value decompositions.  Near an exceptional point of
-    order m, backward errors of size eps scatter the eigenvalues over a disk
-    of radius ~ eps^(1/m); the reported ``perturbation_radius`` quantifies
+    ranks from singular value decompositions, after dividing H - lambda I by
+    its largest entry so that the powers neither underflow nor overflow.
+    Near an exceptional point of order m, backward errors of size eps scatter
+    the eigenvalues over a disk of radius ~ eps^(1/m); the reported ``perturbation_radius`` quantifies
     this, and ``cluster_tol`` must sit above it for the merge to be reliable
     (the default 1e-8 is safe for matrices whose degeneracy is exact in the
     entries, like the truncated unidirectional chain).
@@ -300,7 +301,11 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
         if len(group) == 1:
             clusters.append(_cluster(value, (1,), scale))
             continue
-        blocks, flagged = _jordan_blocks(entries - value * np.eye(dim), len(group))
+        shifted = entries - value * np.eye(dim)
+        peak = float(np.abs(shifted).max())
+        if peak > 0.0:  # unit scale keeps the powers (H - lambda)^k representable
+            shifted = shifted / peak
+        blocks, flagged = _jordan_blocks(shifted, len(group))
         clusters.append(_cluster(value, blocks, scale, flagged))
     report = SpectrumReport(eigenvalues, vectors, tuple(clusters))
     return replace(report, eigenvectors=None) if report.is_defective else report

@@ -241,7 +241,7 @@ def test_07_quadrature_self_oracle():
         gamma = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
         period = rng.uniform(0.2, 3.0)
         protocol = ModulationProtocol.with_shape(theta, x, gamma, period=period)
-        closed = effective_hopping(protocol, check_quadrature=False)
+        closed = effective_hopping(protocol)
         quad = effective_hopping_quadrature(protocol)
         worst = max(worst, abs(closed.rho - quad.rho), abs(closed.sigma - quad.sigma))
     elapsed = time.perf_counter() - start

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import unihop
 from unihop.cli import main
@@ -31,6 +32,15 @@ def run(argv, capsys):
 
 
 class TestSpectrumCommand:
+    @pytest.mark.parametrize("kappa1", ["1e-3", "1000"])
+    def test_full_order_ep_far_from_unit_hopping(self, capsys, tmp_path, kappa1):
+        code, out, _ = run(
+            ["spectrum", "--geometry", "chain", "--sites", "120", "--kappa1", kappa1],
+            capsys,
+        )
+        assert code == 0
+        assert "max_ep_order=120" in out
+
     def test_truncated_chain_reports_full_order_ep(self, capsys, tmp_path):
         code, out, _ = run(
             ["spectrum", "--geometry", "chain", "--sites", "16", "--output", "s.json"],
@@ -378,6 +388,20 @@ class TestRwaCommand:
         assert cfg["site"] == 4
         assert cfg["t_end"] == pytest.approx(2 * np.pi)
 
+    def test_dt_factor_is_an_unknown_config_key(self, capsys, tmp_path):
+        argv = [
+            "rwa", "--theta", "1.0", "--x", "0.5", "--gamma", "0.5+0.2i",
+            "--ratios", "5", "--sites", "8",
+        ]
+        assert run(argv + ["--dump-config", "r.json"], capsys)[0] == 0
+        cfg = json.loads((tmp_path / "r.json").read_text())
+        assert "dt_factor" not in cfg
+        cfg["dt_factor"] = 0.02
+        (tmp_path / "r.json").write_text(json.dumps(cfg))
+        code, _, err = run(["rwa", "--config", "r.json"], capsys)
+        assert code == 2
+        assert "unknown config keys: ['dt_factor']" in err
+
 
 class TestLaserCommand:
     def test_unidirectional_run(self, capsys, tmp_path):
@@ -521,6 +545,7 @@ class TestExitCodes:
         )
         assert code == 3
         assert "amplitude overflow" in err
+        assert len(err.splitlines()) == 1
 
     def test_malformed_complex_literal(self, capsys):
         code, _, err = run(
@@ -619,16 +644,13 @@ def test_package_runs_as_module():
     assert "COMMAND" in result.stdout
 
 
-def test_svd_failure_maps_to_exit_3():
-    # the powers (H - lambda)^k overflow at |kappa1| = 1000, so the rank SVD
-    # sees non-finite entries; that must land in the exit-code table
-    result = subprocess.run(
-        [sys.executable, "-m", "unihop", "spectrum", "--geometry", "chain",
-         "--sites", "120", "--kappa1", "1000"],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
-    )
-    assert result.returncode == 3
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("computation error:")
+def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
+    # a rank SVD that fails must land in the exit-code table
+    def failing_svdvals(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", failing_svdvals)
+    code, _, err = run(["spectrum", "--geometry", "chain", "--sites", "4"], capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("computation error:")

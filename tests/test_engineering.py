@@ -4,6 +4,7 @@ import cmath
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from unihop import (
     ComputationError,
@@ -14,6 +15,7 @@ from unihop import (
     LaserParams,
     LatticeSpec,
     ModulationProtocol,
+    OverflowAbort,
     RootNotFoundError,
     StalledIterationError,
     StateVector,
@@ -161,7 +163,7 @@ class TestEffectiveHopping:
             gamma = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
             period = rng.uniform(0.2, 3.0)
             p = ModulationProtocol.with_shape(theta, x, gamma, period=period)
-            closed = effective_hopping(p, check_quadrature=False)
+            closed = effective_hopping(p)
             quad = effective_hopping_quadrature(p)
             assert abs(closed.rho - quad.rho) <= 1e-8
             assert abs(closed.sigma - quad.sigma) <= 1e-8
@@ -230,7 +232,53 @@ class TestSolveUnidirectional:
             solve_unidirectional(np.pi / 2, 0.8, 0j)
 
 
+def _rwa_rk4_reference(protocol, kappa, ratio, sites, c0, t_end):
+    """Stroboscopic state of the exact drive by RK4 within each branch of h(t)
+    at dt = 0.005 / max(|kappa|, |drive|), with the kick before the quiet
+    tail and the unwind at each period end."""
+    period = 2 * np.pi / (ratio * kappa)
+    scaled = ModulationProtocol.with_shape(
+        protocol.theta, protocol.x, protocol.gamma, period=period
+    )
+    n = np.arange(sites)
+    off = np.full(sites - 1, complex(kappa))
+    hop = np.diag(off, 1) + np.diag(off, -1)
+    dt = 0.005 / max(abs(kappa), abs(scaled.drive_amplitude))
+    durations = [scaled.t1 / 4, scaled.t1 / 2, scaled.t1 / 4, period - scaled.t1]
+    y = np.asarray(c0.amps, dtype=complex)
+    for _ in range(round(t_end / period)):
+        for span, h in zip(durations, [1.0, -1.0, 1.0, 0.0]):
+            if h == 0.0:
+                y = np.exp(-1j * protocol.theta * n) * y
+            gen = -1j * (hop + np.diag(scaled.drive_amplitude * h * (n % 2 == 0)))
+            steps = int(np.ceil(span / dt))
+            step = span / steps
+            for _ in range(steps):
+                k1 = gen @ y
+                k2 = gen @ (y + 0.5 * step * k1)
+                k3 = gen @ (y + 0.5 * step * k2)
+                k4 = gen @ (y + step * k3)
+                y = y + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = np.exp(1j * protocol.theta * n) * y
+    return y
+
+
 class TestRwaValidate:
+    @pytest.mark.parametrize("theta,x", [(np.pi / 2, 0.8), (1.1, 0.65)])
+    def test_matches_branchwise_rk4(self, theta, x):
+        gamma = solve_unidirectional(theta, x, 3.0 + 0.7j).gamma
+        p = ModulationProtocol.with_shape(theta, x, gamma)
+        c0 = StateVector(offset=0, amps=np.eye(8, dtype=complex)[3])
+        t_end = 2 * np.pi
+        samples = rwa_validate(p, 1.0, [5.0, 10.0], sites=8, c0=c0, t_end=t_end)
+        hop = effective_hopping(p)
+        h_eff = np.diag(np.full(7, hop.rho), 1) + np.diag(np.full(7, hop.sigma), -1)
+        reference = scipy.linalg.expm(-1j * t_end * h_eff) @ c0.amps
+        for sample in samples:
+            y = _rwa_rk4_reference(p, 1.0, sample.ratio, 8, c0, t_end)
+            want = np.linalg.norm(y - reference) / np.linalg.norm(reference)
+            assert sample.discrepancy == pytest.approx(want, rel=1e-8)
+
     def test_worked_point_discrepancies(self):
         p = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
         spec = LatticeSpec(geometry=Geometry.FiniteChain, kappa1=1.0, sites=10)
@@ -245,25 +293,31 @@ class TestRwaValidate:
 
     def test_zero_hopping_is_exact(self):
         # no hopping: the drive phases cancel exactly over each period, so
-        # the only discrepancy is integrator roundoff
+        # the only discrepancy is roundoff
         p = ModulationProtocol.with_shape(np.pi / 2, 0.5, 0.3 + 0.2j, period=1.0)
         c0 = StateVector(offset=0, amps=np.array([0, 0, 1, 0, 0, 0], dtype=complex))
-        samples = rwa_validate(p, 0.0, [5.0], sites=6, c0=c0, t_end=2.0, dt_factor=0.005)
+        samples = rwa_validate(p, 0.0, [5.0], sites=6, c0=c0, t_end=2.0)
         assert samples[0].period == 1.0
         assert samples[0].periods == 2
         assert samples[0].discrepancy <= 1e-10
 
+    def test_overflow_guard_checks_every_branch(self):
+        # Gamma = 360i grows the even sites by e^360 over the first branch and
+        # the later branches undo it, so only a per-branch guard sees it
+        p = ModulationProtocol.with_shape(np.pi / 2, 0.5, 360j, period=1.0)
+        c0 = StateVector(offset=0, amps=np.ones(4, dtype=complex))
+        with pytest.raises(OverflowAbort):
+            rwa_validate(p, 0.0, [5.0], sites=4, c0=c0, t_end=1.0)
+
     def test_trivial_protocol_reduces_to_bare_hopping(self):
         p = ModulationProtocol.with_shape(0.0, 0.5, 0j, period=1.0)
         c0 = StateVector(offset=0, amps=np.array([0, 0, 1, 0, 0, 0], dtype=complex))
-        samples = rwa_validate(p, 1.0, [5.0], sites=6, c0=c0, t_end=2 * np.pi, dt_factor=0.005)
+        samples = rwa_validate(p, 1.0, [5.0], sites=6, c0=c0, t_end=2 * np.pi)
         assert samples[0].discrepancy <= 1e-8
 
     def test_validations(self):
         p = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
         c0 = StateVector(offset=0, amps=np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValidationError):
-            rwa_validate(p, 1.0, [5.0], sites=4, c0=c0, t_end=2 * np.pi, dt_factor=0.2)
         with pytest.raises(ValidationError):
             rwa_validate(p, 1.0, [5.0], sites=1, c0=c0, t_end=2 * np.pi)
         with pytest.raises(ValidationError):

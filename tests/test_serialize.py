@@ -54,7 +54,7 @@ class TestComplexLiterals:
     def test_parse(self, text, want):
         assert parse_complex(text) == want
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1+2", "1++2i", "i2", "1+2ii"])
+    @pytest.mark.parametrize("bad", ["", "abc", "1+2", "1++2i", "i2", "1+2ii", "(1+2j)"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
             parse_complex(bad)

@@ -117,6 +117,18 @@ class TestAnalyzeSpectrum:
         assert len(report.clusters) == 1
         assert report.clusters[0].ep_order == sites
 
+    @pytest.mark.parametrize("kappa1", [1e-6, 1e-3, 1e3, 1e6])
+    def test_jordan_structure_is_scale_invariant(self, kappa1):
+        # H -> s H keeps the Jordan structure: the 120-site chain is one block
+        # of size 120, and J_3(0) + J_2(0) + J_1(1) keeps its blocks at every s
+        report = analyze_spectrum(build_hamiltonian(chain(120, kappa1=kappa1)))
+        assert [c.jordan_blocks for c in report.clusters] == [(120,)]
+        entries = np.zeros((6, 6), dtype=complex)
+        entries[0, 1] = entries[1, 2] = entries[3, 4] = 1.0
+        entries[5, 5] = 1.0
+        report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * entries))
+        assert [c.jordan_blocks for c in report.clusters] == [(3, 2), (1,)]
+
     def test_forced_chain_is_simple(self):
         report = analyze_spectrum(build_hamiltonian(chain(4, force=0.7)))
         assert not report.is_defective
