@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _OVERFLOW_LIMIT = 1e150
+_RENORMALIZE = "secular growth can be followed by RK4 with renormalize=True"
 
 
 @dataclass(frozen=True)
@@ -161,14 +162,14 @@ def _factorial_powers(z: complex, j) -> np.ndarray:
         return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
 
 
-def _guard_overflow(amps: np.ndarray, t: float) -> None:
-    """The overflow guard: abort once max|c| exceeds 1e150 or is not finite."""
+def _guard_overflow(amps: np.ndarray, t: float, remedy: str) -> None:
+    """The overflow guard: abort once max|c| exceeds 1e150 or is not finite.
+
+    ``remedy`` is the caller's way out, appended to the message.
+    """
     peak = float(np.max(np.abs(amps)))
     if not math.isfinite(peak) or peak > _OVERFLOW_LIMIT:
-        raise OverflowAbort(
-            f"amplitude overflow (max|c| > 1e150) at t = {t:.6g}; "
-            "secular growth can be followed by RK4 with renormalize=True"
-        )
+        raise OverflowAbort(f"amplitude overflow (max|c| > 1e150) at t = {t:.6g}; {remedy}")
 
 
 def propagator_entry_unidirectional(kappa1: complex, t: float, n: int, l: int) -> complex:
@@ -257,7 +258,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
                 u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(dim))
                 out[i] = scipy.linalg.toeplitz(first_col, u) @ c0.amps
     for t, row in zip(t_arr, out):
-        _guard_overflow(row, t)
+        _guard_overflow(row, t, _RENORMALIZE)
     return _observables(t_arr, out, spec.offset, np.asarray(c0.amps), None, False)
 
 
@@ -284,13 +285,14 @@ def _integrate_rk4(
     dt: float,
     record_every: int,
     renormalize: bool,
+    remedy: str,
     step_hook=None,
 ):
     """Fixed-step RK4 with exact landing on t_end.
 
-    Returns (times, states, log_scale) arrays of the recorded steps.  The
-    overflow guard aborts once max|c| exceeds 1e150 (secular non-Hermitian
-    growth is physical; renormalize to follow it further).  ``step_hook``,
+    Returns (times, states, log_scale) arrays of the recorded steps.  Without
+    ``renormalize`` the overflow guard aborts once max|c| exceeds 1e150
+    (secular non-Hermitian growth is physical), naming ``remedy``.  ``step_hook``,
     when given, is called with (t, y) after every step.
     """
     if t_end == 0.0:
@@ -326,7 +328,7 @@ def _integrate_rk4(
             y = y / scale
             log_scale += math.log(scale)
         else:
-            _guard_overflow(y, t_next)
+            _guard_overflow(y, t_next, remedy)
         if step_hook is not None:
             step_hook(t_next, y)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
@@ -346,7 +348,8 @@ def _evolve(
         _require_resolved(cfg.dt, scale, what)
     y0 = np.asarray(c0.amps)
     times, states, logs = _integrate_rk4(
-        deriv, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize, step_hook
+        deriv, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize,
+        _RENORMALIZE, step_hook,
     )
     return _observables(times, states, c0.offset, y0, logs, cfg.renormalize)
 

@@ -48,6 +48,7 @@ from .errors import (
     RootNotFoundError,
     StalledIterationError,
     ValidationError,
+    _checked,
 )
 from .lattice import HamiltonianMatrix, StateVector, _tridiagonal
 
@@ -424,7 +425,9 @@ def rwa_validate(
         for span, h_val in scaled._schedule:
             diag = scaled.drive_amplitude * h_val * even
             generator = _tridiagonal(sites, kappa, kappa, diag=diag)
-            propagator = scipy.linalg.expm(-1j * span * generator)
+            propagator = _checked(
+                "branch propagator", scipy.linalg.expm, -1j * span * generator
+            )
             branches.append((span, h_val == 0.0, propagator))
         y = np.asarray(c0.amps, dtype=complex)
         t = 0.0
@@ -434,9 +437,11 @@ def rwa_validate(
                     y = kick * y
                 y = propagator @ y
                 t += span
-                _guard_overflow(y, t)
+                _guard_overflow(y, t, "shorten t_end or reduce |Im Gamma|")
             y = unwind * y
-        reference = scipy.linalg.expm(-1j * h_eff * t_end) @ np.asarray(c0.amps)
+        reference = _checked(
+            "effective propagator", scipy.linalg.expm, -1j * h_eff * t_end
+        ) @ np.asarray(c0.amps)
         scale = float(np.linalg.norm(reference))
         if scale == 0.0:
             raise ComputationError("effective evolution annihilated the state")

@@ -11,6 +11,8 @@ table) can tell bad inputs from numerical breakdowns:
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class UnihopError(Exception):
     """Base class for all package-specific errors."""
@@ -48,3 +50,16 @@ class StalledIterationError(ComputationError):
 
 class EdgeLeakError(ComputationError):
     """Wavepacket weight at the window boundary exceeded the edge monitor."""
+
+
+def _checked(what: str, routine, *args):
+    """Call a dense linear-algebra routine; failure or a non-finite result is
+    a :class:`ComputationError` naming ``what``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
+            result = routine(*args)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ComputationError(f"{what} failed: {exc}") from exc
+    if not np.all(np.isfinite(result)):
+        raise ComputationError(f"{what} returned non-finite values")
+    return result

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _dt_scale, _integrate_rk4, _require_resolved
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, _checked
 from .lattice import Geometry, LatticeSpec, _lattice_deriv
 
 __all__ = [
@@ -143,10 +143,11 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
         dt,
         record_every=10**9,
         renormalize=False,
+        remedy="quasi_energies_analytic gives the unidirectional ring's monodromy exactly",
     )
     m = states[-1]
     defect = float(np.max(np.abs(m - np.eye(dim))))
-    eigenvalues = np.linalg.eigvals(m)
+    eigenvalues = _checked("monodromy eigensolve", np.linalg.eigvals, m)
     if np.any(np.abs(eigenvalues) < 1e-300):
         raise ComputationError("monodromy is numerically singular")
     mu = 1j * np.log(eigenvalues) / drive.period

@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import i0
 
 from .dynamics import _factorial_powers
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, _checked
 from .lattice import (
     Geometry,
     HamiltonianMatrix,
@@ -190,7 +190,8 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     n = np.arange(dim)
     vectors = np.exp(1j * np.outer(n, q)) / math.sqrt(dim)
 
-    dense = np.linalg.eigvals(build_hamiltonian(spec).entries)
+    entries = build_hamiltonian(spec).entries
+    dense = _checked("dense ring eigensolve", np.linalg.eigvals, entries)
     cost = np.abs(eigenvalues[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(cost)
     tol = 1e-10 * max(1.0, abs(spec.kappa1))
@@ -208,24 +209,22 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
 
 
-def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
+def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool, float]:
     """Rank by SVD with threshold tau = dim * eps * sigma_max.
 
-    Returns (rank, flagged); flagged is True when any singular value lands
-    within a factor 10 of tau, i.e. the rank decision is marginal.  A matrix
-    the SVD cannot take (non-finite entries from an overflowing power, or a
-    failed convergence) raises :class:`ComputationError`.
+    Returns (rank, flagged, margin); flagged is True when any singular value
+    lands within a factor 10 of tau, i.e. the rank decision is marginal, and
+    margin is the smallest retained singular value over sigma_max (0 at rank
+    0).  A matrix the SVD cannot take (non-finite entries from an overflowing
+    power, or a failed convergence) raises :class:`ComputationError`.
     """
-    try:
-        sv = scipy.linalg.svdvals(matrix)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise ComputationError(f"singular value decomposition failed: {exc}") from exc
+    sv = _checked("singular value decomposition", scipy.linalg.svdvals, matrix)
     if sv.size == 0:
-        return 0, False
+        return 0, False, 0.0
     tau = matrix.shape[0] * _EPS * sv[0]
     rank = int(np.count_nonzero(sv > tau))
     flagged = bool(np.any((sv > tau / 10.0) & (sv < tau * 10.0)))
-    return rank, flagged
+    return rank, flagged, float(sv[rank - 1] / sv[0]) if rank else 0.0
 
 
 def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, ...], bool]:
@@ -234,18 +233,34 @@ def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, .
     With r_k = rank((H - lambda I)^k), the count of blocks of size >= k is
     d_k = r_{k-1} - r_k, so the number of blocks of size exactly k is
     d_k - d_{k+1} (Weyr characteristic).
+
+    The counts never increase, so a nullity d_1 = 1 means a single block, of
+    size m exactly when r_m = dim - m; that case takes one more SVD, of the
+    m-th power formed by repeated squaring, instead of m - 1 more.  It is
+    taken only when both rank decisions are clear and margin^m > 10 dim eps:
+    by Horn's inequality sigma_{dim-k}(A^k) >= sigma_{dim-1}(A)^k, no power
+    up to the m-th can then lose more than one rank per step, so a cluster of
+    close but distinct eigenvalues is not read as one block.  Every other
+    case ranks the powers one by one.
     """
     dim = shifted.shape[0]
-    ranks = [dim]
-    flagged = False
-    power = np.eye(dim, dtype=complex)
-    for _ in range(multiplicity):
+    first, flagged, margin = _numerical_rank(shifted)
+    single = dim - first == 1 and multiplicity > 1 and not flagged
+    if single and margin**multiplicity > 10.0 * dim * _EPS:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite falls through
+            power = np.linalg.matrix_power(shifted, multiplicity)
+        if np.all(np.isfinite(power)):
+            last, flag, _ = _numerical_rank(power)
+            if last == dim - multiplicity and not flag:
+                return (multiplicity,), False
+    ranks = [dim, first]
+    power = shifted
+    # until the rank stabilizes (largest block reached) or m powers are ranked
+    while ranks[-1] != ranks[-2] and len(ranks) <= multiplicity:
         power = power @ shifted
-        rank, flag = _numerical_rank(power)
+        rank, flag, _ = _numerical_rank(power)
         flagged = flagged or flag
         ranks.append(rank)
-        if rank == ranks[-2]:  # rank stabilized: largest block reached
-            break
     deficits = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     deficits.append(0)
     blocks: list[int] = []

@@ -41,6 +41,11 @@ class TestSpectrumCommand:
         assert code == 0
         assert "max_ep_order=120" in out
 
+    def test_full_order_ep_of_a_256_site_chain(self, capsys):
+        code, out, _ = run(["spectrum", "--geometry", "chain", "--sites", "256"], capsys)
+        assert code == 0
+        assert "max_ep_order=256" in out
+
     def test_truncated_chain_reports_full_order_ep(self, capsys, tmp_path):
         code, out, _ = run(
             ["spectrum", "--geometry", "chain", "--sites", "16", "--output", "s.json"],
@@ -654,3 +659,56 @@ def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert err.startswith("computation error:")
+
+
+RWA_ARGV = [
+    "rwa", "--theta", "1.5707963267948966", "--x", "0.8",
+    "--gamma", "3.0017822918018364+0.6994075768635631i", "--ratios", "5", "--sites", "6",
+]
+
+
+def _assert_exit_3(code, err, what):
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("computation error:")
+    assert what in err
+
+
+def _failing(exc):
+    def routine(*args):
+        raise exc
+
+    return routine
+
+
+def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _failing(np.linalg.LinAlgError("no convergence")))
+    code, _, err = run(["spectrum", "--geometry", "ring", "--sites", "4"], capsys)
+    _assert_exit_3(code, err, "dense ring eigensolve failed")
+
+
+def test_monodromy_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _failing(ValueError("array must be finite")))
+    code, _, err = run(["floquet", "--sites", "4"], capsys)
+    _assert_exit_3(code, err, "monodromy eigensolve failed")
+
+
+def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(scipy.linalg, "expm", _failing(np.linalg.LinAlgError("singular")))
+    code, _, err = run(RWA_ARGV, capsys)
+    _assert_exit_3(code, err, "branch propagator failed")
+
+
+def test_non_finite_effective_propagator_maps_to_exit_3(monkeypatch, capsys):
+    # the four branch propagators come first; the fifth expm is the reference
+    # exp(-i H_eff t_end), which here comes back infinite
+    expm = scipy.linalg.expm
+    calls = []
+
+    def expm_inf_on_fifth(matrix):
+        calls.append(matrix)
+        return np.full_like(matrix, np.inf) if len(calls) == 5 else expm(matrix)
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm_inf_on_fifth)
+    code, _, err = run(RWA_ARGV, capsys)
+    _assert_exit_3(code, err, "effective propagator returned non-finite values")

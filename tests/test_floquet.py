@@ -8,6 +8,7 @@ from unihop import (
     FluxDrive,
     Geometry,
     LatticeSpec,
+    OverflowAbort,
     ValidationError,
     evolve_rk4,
     fold_quasi_energy,
@@ -124,6 +125,15 @@ class TestMonodromy:
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-10
         assert report.monodromy_defect <= 1e-6
         assert np.max(np.abs(report.mu.imag)) <= 1e-8
+
+    def test_overflow_names_a_remedy_monodromy_has(self):
+        # |kappa1| = 1e3 grows the columns past 1e150 well inside the period;
+        # monodromy has no renormalize option, so the message must not offer it
+        drive = FluxDrive(phi0_rate=1.0, sites=6)
+        with pytest.raises(OverflowAbort) as info:
+            monodromy(ring(6, kappa1=1e3), drive, dt=0.05 / 1e3)
+        assert "renormalize" not in str(info.value)
+        assert "quasi_energies_analytic" in str(info.value)
 
     def test_collapse_is_a_full_period_effect(self):
         drive = FluxDrive(phi0_rate=1.0, sites=4)

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
+import unihop.spectral as spectral
 from unihop import (
     ComputationError,
     Geometry,
@@ -209,6 +212,123 @@ class TestAnalyzeSpectrum:
         h = build_hamiltonian(chain(3))
         with pytest.raises(ValidationError):
             analyze_spectrum(h, cluster_tol=0.0)
+
+
+def jordan_sum(blocks, order):
+    """The direct sum of J_size(value) over ``blocks``, rows and columns permuted."""
+    dim = sum(size for size, _ in blocks)
+    entries = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size, value in blocks:
+        for i in range(start, start + size):
+            entries[i, i] = value
+            if i + 1 < start + size:
+                entries[i, i + 1] = 1.0
+        start += size
+    return entries[np.ix_(order, order)]
+
+
+def weyr_blocks(shifted, multiplicity):
+    """Block sizes from the ranks of all powers 1..m (no shortcut)."""
+    dim = shifted.shape[0]
+    ranks = [dim]
+    power = np.eye(dim, dtype=complex)
+    for _ in range(multiplicity):
+        power = power @ shifted
+        ranks.append(spectral._numerical_rank(power)[0])
+    deficits = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    blocks = []
+    for k in range(1, len(deficits)):
+        blocks.extend([k] * (deficits[k - 1] - deficits[k]))
+    return tuple(sorted(blocks, reverse=True))
+
+
+def counting_rank(monkeypatch, rank=None):
+    """Count calls to the SVD rank; ``rank`` may override its result."""
+    calls = []
+    real = spectral._numerical_rank
+
+    def counted(matrix):
+        calls.append(matrix)
+        result = real(matrix)
+        return result if rank is None else (rank(matrix, result[0]),) + result[1:]
+
+    monkeypatch.setattr(spectral, "_numerical_rank", counted)
+    return calls
+
+
+class TestJordanShortcut:
+    def test_single_chain_takes_two_ranks(self, monkeypatch):
+        calls = counting_rank(monkeypatch)
+        report = analyze_spectrum(build_hamiltonian(chain(256)))
+        assert [c.jordan_blocks for c in report.clusters] == [(256,)]
+        assert len(calls) <= 2
+
+    def test_disagreeing_end_rank_runs_the_full_sequence(self, monkeypatch):
+        # every vanishing power is ranked 1, so the end rank of the 4-site chain
+        # disagrees with 4 - 4; the fallback ranks the powers one by one and
+        # refuses the inconsistent sequence as before
+        calls = counting_rank(monkeypatch, lambda m, r: 1 if not m.any() else r)
+        with pytest.raises(ComputationError) as info:
+            analyze_spectrum(build_hamiltonian(chain(4)))
+        assert str(info.value).startswith(
+            "Jordan structure inconsistent with cluster multiplicity "
+            "(rank sequence [4, 3, 2, 1, 1], multiplicity 4)"
+        )
+        assert len(calls) == 5  # first rank, end rank, then powers 2, 3 and 4
+
+    def test_close_distinct_eigenvalues_are_not_one_block(self):
+        # the cluster {0, 1e-10, 2e-10} has nullity 1 and its third power ranks
+        # 1, yet it is diagonalizable: the second power loses two ranks at once,
+        # and the margin test keeps the shortcut from reading it as J_3
+        entries = np.diag([0.0, 1e-10, 2e-10, 1.0]).astype(complex)
+        with pytest.raises(ComputationError, match=r"rank sequence \[4, 3, 1, 1\]"):
+            analyze_spectrum(HamiltonianMatrix(entries=entries))
+
+
+class TestJordanProperties:
+    @settings(deadline=None, max_examples=12)
+    @given(
+        sites=st.integers(1, 512),
+        log_kappa=st.floats(-6.0, 6.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_chain_is_one_block_of_full_order(self, sites, log_kappa, phase):
+        kappa1 = 10.0**log_kappa * cmath.exp(1j * phase)
+        report = analyze_spectrum(build_hamiltonian(chain(sites, kappa1=kappa1)))
+        assert [c.jordan_blocks for c in report.clusters] == [(sites,)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=5), data=st.data())
+    def test_permuted_nilpotent_sum(self, sizes, data):
+        dim = sum(sizes)
+        order = data.draw(st.permutations(range(dim)))
+        entries = jordan_sum([(size, 0.0) for size in sizes], order)
+        want = tuple(sorted(sizes, reverse=True))
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert [c.jordan_blocks for c in report.clusters] == [want]
+        assert weyr_blocks(entries, dim) == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        simple=st.lists(st.sampled_from([1.0, -2.0 + 1.0j, 0.5j]), unique=True, max_size=3),
+        log_scale=st.floats(-6.0, 6.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        data=st.data(),
+    )
+    def test_scaling_keeps_the_blocks(self, sizes, simple, log_scale, phase, data):
+        # nilpotent blocks at 0 beside simple eigenvalues: the mean of a cluster
+        # of exact zeros is exact, so only the scale s of H changes
+        blocks = [(size, 0.0) for size in sizes] + [(1, value) for value in simple]
+        order = data.draw(st.permutations(range(sum(sizes) + len(simple))))
+        entries = jordan_sum(blocks, order)
+        s = 10.0**log_scale * cmath.exp(1j * phase)
+        found = [
+            sorted(c.jordan_blocks for c in analyze_spectrum(HamiltonianMatrix(entries=m)).clusters)
+            for m in (entries, s * entries)
+        ]
+        assert found[0] == found[1] == sorted([tuple(sorted(sizes, reverse=True))] + [(1,)] * len(simple))
 
 
 class TestWannierStark:
