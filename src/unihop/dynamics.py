@@ -13,7 +13,12 @@ with E(q) = kappa1 e^{iq}, evaluated here by FFT.
 
 The RK4 path integrates dc/dt = -i H(t) c with a uniform step chosen to land
 exactly on t_end (and hence exactly on Bloch-period multiples when dt divides
-the period), so revival diagnostics carry no sampling error.
+the period), so revival diagnostics carry no sampling error.  For a static
+generator one RK4 step of size h is exactly multiplication by the stability
+polynomial P = sum_{k<=4} (-i h H)^k / k!, which for tridiagonal H has nine
+cyclic diagonals: static runs build P once in band form and take each step as
+one O(N) gather-and-sum.  The time-dependent flux ring keeps the staged
+four-stage step.
 """
 
 from __future__ import annotations
@@ -23,11 +28,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln
 
 from .errors import OverflowAbort, ValidationError
-from .lattice import Geometry, LatticeSpec, StateVector, _check_state, _lattice_deriv
+from .lattice import (
+    Geometry,
+    LatticeSpec,
+    StateVector,
+    _band_apply,
+    _band_product,
+    _check_state,
+    _lattice_deriv,
+    _spec_bands,
+)
 
 __all__ = [
     "EvolveConfig",
@@ -167,7 +180,7 @@ def _guard_overflow(amps: np.ndarray, t: float, remedy: str) -> None:
 
     ``remedy`` is the caller's way out, appended to the message.
     """
-    peak = float(np.max(np.abs(amps)))
+    peak = float(np.abs(amps).max())
     if not math.isfinite(peak) or peak > _OVERFLOW_LIMIT:
         raise OverflowAbort(f"amplitude overflow (max|c| > 1e150) at t = {t:.6g}; {remedy}")
 
@@ -223,10 +236,12 @@ def _observables(
 def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajectory:
     """Exact evolution of the free unidirectional lattice (kappa2 = 0, F = 0).
 
-    Chain geometries apply the triangular factorial kernel (site 0 truncates
-    the flow; sites above the initial support stay exactly zero).  The ring
-    applies the discrete Bloch kernel via FFT.  As for RK4, growth beyond
-    max|c| > 1e150 at any requested time aborts with :class:`OverflowAbort`.
+    Chain geometries apply the triangular factorial kernel as a convolution
+    over the initial support and the kernel's nonzero terms, so no N x N
+    matrix is formed (site 0 truncates the flow; sites above the initial
+    support stay exactly zero).  The ring applies the discrete Bloch kernel
+    via FFT.  As for RK4, growth beyond max|c| > 1e150 at any requested time
+    aborts with :class:`OverflowAbort`.
     """
     if spec.kappa2 != 0j:
         raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
@@ -242,7 +257,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
         raise ValidationError("times must be strictly increasing")
 
     dim = spec.dim
-    out = np.empty((t_arr.size, dim), dtype=complex)
+    out = np.zeros((t_arr.size, dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow guard decides
         if spec.geometry is Geometry.Ring:
             q = 2.0 * np.pi * np.arange(dim) / dim
@@ -251,12 +266,16 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
             for i, t in enumerate(t_arr):
                 out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))
         else:
-            first_col = np.zeros(dim, dtype=complex)
-            first_col[0] = 1.0  # the diagonal; toeplitz ignores u[0]
+            # c_n(t) = sum_j u_j c0_{n+j} with u_j = (-i kappa1 t)^j / j!; only
+            # sites up to the top of the initial support [lo, hi] are reached
+            support = np.flatnonzero(c0.amps)
+            lo, hi = int(support[0]), int(support[-1])
+            reversed_support = c0.amps[lo : hi + 1][::-1]
             for i, t in enumerate(t_arr):
-                # first row u_j = (-i kappa1 t)^j / j! of the triangular Toeplitz kernel
-                u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(dim))
-                out[i] = scipy.linalg.toeplitz(first_col, u) @ c0.amps
+                u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(hi + 1))
+                u = u[: np.flatnonzero(u)[-1] + 1]
+                row = np.convolve(reversed_support, u)[: hi + 1]  # row[s] is site hi - s
+                out[i, hi + 1 - row.size : hi + 1] = row[::-1]
     for t, row in zip(t_arr, out):
         _guard_overflow(row, t, _RENORMALIZE)
     return _observables(t_arr, out, spec.offset, np.asarray(c0.amps), None, False)
@@ -278,8 +297,45 @@ def _require_resolved(dt: float, scale: float, what: str) -> None:
         )
 
 
+def _staged(deriv):
+    """The four-stage RK4 step of deriv(t, y), as a stepper h -> step(t, y)."""
+
+    def stepper(h: float):
+        def step(t: float, y: np.ndarray) -> np.ndarray:
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(t + h, y + h * k3)
+            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        return step
+
+    return stepper
+
+
+def _polynomial(bands: dict):
+    """The RK4 step of the static generator with cyclic diagonals ``bands``,
+    as a stepper h -> step(t, y) = P y.
+
+    P = sum_{k<=4} A^k / k! with A = -i h H is RK4's stability polynomial, so
+    one product by P is exactly one four-stage step.  P is built once from
+    band products and has at most nine diagonals.
+    """
+
+    def stepper(h: float):
+        a = {k: -1j * h * d for k, d in bands.items()}
+        p = term = {0: np.ones(bands[0].size, dtype=complex)}
+        for order in range(1, 5):
+            term = {k: d / order for k, d in _band_product(term, a).items()}
+            p = {k: p.get(k, 0.0) + term.get(k, 0.0) for k in p.keys() | term.keys()}
+        apply = _band_apply(p)
+        return lambda t, y: apply(y)
+
+    return stepper
+
+
 def _integrate_rk4(
-    deriv,
+    stepper,
     y0: np.ndarray,
     t_end: float,
     dt: float,
@@ -290,10 +346,13 @@ def _integrate_rk4(
 ):
     """Fixed-step RK4 with exact landing on t_end.
 
-    Returns (times, states, log_scale) arrays of the recorded steps.  Without
-    ``renormalize`` the overflow guard aborts once max|c| exceeds 1e150
-    (secular non-Hermitian growth is physical), naming ``remedy``.  ``step_hook``,
-    when given, is called with (t, y) after every step.
+    ``stepper`` maps the uniform step h to step(t, y), the state one RK4 step
+    after (t, y): :func:`_polynomial` for a static generator, :func:`_staged`
+    for a time-dependent one.  Returns (times, states, log_scale) arrays of
+    the recorded steps.  Without ``renormalize`` the overflow guard aborts
+    once max|c| exceeds 1e150 (secular non-Hermitian growth is physical),
+    naming ``remedy``.  ``step_hook``, when given, is called with (t, y)
+    after every step.
     """
     if t_end == 0.0:
         return (
@@ -308,18 +367,14 @@ def _integrate_rk4(
         )
     n_steps = max(1, math.ceil(steps))
     h = t_end / n_steps
+    advance = stepper(h)
     y = y0.astype(complex)
     log_scale = 0.0
     rec_times = [0.0]
     rec_states = [y.copy()]
     rec_logs = [0.0]
     for step in range(n_steps):
-        t = step * h
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = advance(step * h, y)
         t_next = (step + 1) * h
         if renormalize:
             scale = float(np.linalg.norm(y))
@@ -339,7 +394,7 @@ def _integrate_rk4(
 
 
 def _evolve(
-    deriv, c0: StateVector, cfg: EvolveConfig, scale: float, what: str, step_hook=None
+    stepper, c0: StateVector, cfg: EvolveConfig, scale: float, what: str, step_hook=None
 ) -> StateTrajectory:
     """The RK4 front end: nonzero state, step rule, integration, observables."""
     if c0.norm() == 0.0:
@@ -348,7 +403,7 @@ def _evolve(
         _require_resolved(cfg.dt, scale, what)
     y0 = np.asarray(c0.amps)
     times, states, logs = _integrate_rk4(
-        deriv, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize,
+        stepper, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize,
         _RENORMALIZE, step_hook,
     )
     return _observables(times, states, c0.offset, y0, logs, cfg.renormalize)
@@ -366,10 +421,16 @@ def evolve_rk4(
     dt <= 0.05 / max(|kappa1|, |kappa2|, |F|*extent, |flux_rate|) with extent
     the largest |site index| (or the dimension, if larger).  A uniform step
     t_end/n_steps <= dt is then used so the final time is hit exactly.
+    Without ``flux_rate`` H is static and each step is one product by RK4's
+    stability polynomial in band form, O(N); the flux ring takes the staged
+    four-stage step.
     """
     _check_state(spec, c0)
-    deriv = _lattice_deriv(spec, flux_rate)
-    return _evolve(deriv, c0, cfg, _dt_scale(spec, flux_rate), "the fastest scale")
+    if flux_rate is None:
+        stepper = _polynomial(_spec_bands(spec))
+    else:
+        stepper = _staged(_lattice_deriv(spec, flux_rate))
+    return _evolve(stepper, c0, cfg, _dt_scale(spec, flux_rate), "the fastest scale")
 
 
 def center_of_mass(state: StateVector) -> float:

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import simpson
 
-from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow
+from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow, _polynomial
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -50,7 +49,7 @@ from .errors import (
     ValidationError,
     _checked,
 )
-from .lattice import HamiltonianMatrix, StateVector, _tridiagonal
+from .lattice import HamiltonianMatrix, StateVector, _bands, _dense
 
 __all__ = [
     "ModulationProtocol",
@@ -228,6 +227,8 @@ def effective_hopping_quadrature(
     This is an independent evaluation route used to cross-check the closed
     forms in :func:`effective_hopping`.
     """
+    from scipy.integrate import simpson  # deferred: slow to import, used only here
+
     amplitude = protocol.drive_amplitude
     results = {}
     for parity_sign in (1.0, -1.0):  # even / odd site n
@@ -403,7 +404,7 @@ def rwa_validate(
     kick = np.exp(-1j * protocol.theta * n_idx)
     unwind = np.exp(1j * protocol.theta * n_idx)
     even = (n_idx % 2 == 0).astype(float)
-    h_eff = _tridiagonal(sites, hopping.rho, hopping.sigma)
+    h_eff = _dense(_bands(sites, hopping.rho, hopping.sigma))
     samples: list[RwaSample] = []
     for ratio in ratios:
         if kappa != 0.0:
@@ -424,7 +425,7 @@ def rwa_validate(
         branches = []
         for span, h_val in scaled._schedule:
             diag = scaled.drive_amplitude * h_val * even
-            generator = _tridiagonal(sites, kappa, kappa, diag=diag)
+            generator = _dense(_bands(sites, kappa, kappa, diag=diag))
             propagator = _checked(
                 "branch propagator", scipy.linalg.expm, -1j * span * generator
             )
@@ -517,11 +518,8 @@ def laser_effective_couplings(params: LaserParams) -> LaserCouplings:
     )
 
 
-def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> HamiltonianMatrix:
-    """Dense laser generator over the mode window [n_min, n_max]."""
-    n_min, n_max = int(window[0]), int(window[1])
-    if not n_min < n_max:
-        raise ValidationError("window must satisfy n_min < n_max")
+def _laser_bands(params: LaserParams, n_min: int, n_max: int) -> dict[int, np.ndarray]:
+    """Cyclic diagonals of the laser generator over the modes n_min..n_max."""
     couplings = laser_effective_couplings(params)
     n = np.arange(n_min, n_max + 1, dtype=float)
     onsite = (
@@ -529,8 +527,15 @@ def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> Hamiltoni
         + couplings.onsite_uniform
         + couplings.onsite_curvature * n**2
     )
-    h = _tridiagonal(n.size, couplings.forward, couplings.backward, diag=onsite)
-    return HamiltonianMatrix(entries=h, offset=n_min)
+    return _bands(n.size, couplings.forward, couplings.backward, diag=onsite)
+
+
+def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> HamiltonianMatrix:
+    """Dense laser generator over the mode window [n_min, n_max]."""
+    n_min, n_max = int(window[0]), int(window[1])
+    if not n_min < n_max:
+        raise ValidationError("window must satisfy n_min < n_max")
+    return HamiltonianMatrix(entries=_dense(_laser_bands(params, n_min, n_max)), offset=n_min)
 
 
 def laser_evolve(
@@ -541,16 +546,17 @@ def laser_evolve(
 ) -> StateTrajectory:
     """RK4 integration of the laser modal equations on c0's mode window.
 
-    The window has open boundaries, so results are trustworthy only while
-    the wavepacket stays inside: an edge monitor aborts (computation error)
-    once the weight on the two boundary modes exceeds ``edge_tol`` of the
-    total.  Pass a wider initial window rather than loosening the monitor.
+    The generator is static, so each step is one product by RK4's stability
+    polynomial in band form.  The window has open boundaries, so results are
+    trustworthy only while the wavepacket stays inside: an edge monitor
+    aborts (computation error) after any step that leaves more than
+    ``edge_tol`` of the total weight on the two boundary modes.  Pass a wider
+    initial window rather than loosening the monitor.
     """
     if len(c0) < 2:
         raise ValidationError("the mode window must span at least 2 modes")
     window = (c0.offset, c0.offset + len(c0) - 1)
-    h = laser_hamiltonian(params, window).entries
-    extent = float(np.abs(np.arange(window[0], window[1] + 1)).max())
+    extent = float(max(abs(window[0]), abs(window[1])))
     couplings = laser_effective_couplings(params)
     scale = max(
         abs(couplings.forward),
@@ -559,9 +565,6 @@ def laser_evolve(
         abs(params.gain - params.loss),
         params.dg * extent**2,
     )
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        return -1j * (h @ y)
 
     def edge_monitor(t: float, y: np.ndarray) -> None:
         total = float(np.sum(np.abs(y) ** 2))
@@ -574,4 +577,5 @@ def laser_evolve(
                 f"t = {t:.6g} (limit {edge_tol:g}); widen the mode window"
             )
 
-    return _evolve(deriv, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)
+    stepper = _polynomial(_laser_bands(params, *window))
+    return _evolve(stepper, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _dt_scale, _integrate_rk4, _require_resolved
+from .dynamics import _dt_scale, _integrate_rk4, _require_resolved, _staged
 from .errors import ComputationError, ValidationError, _checked
 from .lattice import Geometry, LatticeSpec, _lattice_deriv
 
@@ -137,7 +137,7 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
     dim = spec.dim
 
     _, states, _ = _integrate_rk4(
-        _lattice_deriv(spec, rate),
+        _staged(_lattice_deriv(spec, rate)),
         np.eye(dim, dtype=complex),
         drive.period,
         dt,

@@ -17,6 +17,9 @@ only by site n+1.  Three geometries are supported:
   open (zero) amplitude outside.  For kappa2 = 0 amplitude flows only toward
   decreasing n, so a window whose upper edge sits above the initial support
   is exact; the Stark diagonal uses absolute site indices.
+
+H is held as its three cyclic diagonals; the dense matrix is formed only for
+the callers that need the whole of it.
 """
 
 from __future__ import annotations
@@ -197,22 +200,60 @@ class StateVector:
         return 0j
 
 
-def _tridiagonal(dim: int, upper, lower, diag=0, wrap: bool = False) -> np.ndarray:
-    """Dense dim x dim matrix with ``upper`` on H[n][n+1], ``lower`` on
-    H[n+1][n] and ``diag`` on the diagonal; ``wrap`` adds the ring corners
-    H[dim-1][0] = upper and H[0][dim-1] = lower.
+def _bands(dim: int, upper, lower, diag=0, wrap: bool = False) -> dict[int, np.ndarray]:
+    """The tridiagonal generator by its cyclic diagonals.
 
-    Entries accumulate into a zero matrix, so on a 2-site ring the chain bond
-    and the wrap bond, which connect the same pair of sites, are summed.
+    Offset k holds a length-``dim`` array d_k with (H y)[i] = sum_k
+    d_k[i] y[(i + k) % dim]: ``upper`` on offset +1 (H[n][n+1]), ``lower`` on
+    offset -1 (H[n+1][n]) and ``diag`` on offset 0.  The wrap entries
+    d_{+1}[dim-1] and d_{-1}[0] are the ring corners H[dim-1][0] = upper and
+    H[0][dim-1] = lower with ``wrap`` and 0 otherwise.  On a 2-site ring both
+    offsets reach the same site, so the chain bond and the wrap bond are
+    summed.
     """
+    up = np.full(dim, upper, dtype=complex)
+    low = np.full(dim, lower, dtype=complex)
+    if not wrap:
+        up[-1] = 0.0
+        low[0] = 0.0
+    return {-1: low, 0: np.broadcast_to(diag, (dim,)).astype(complex), 1: up}
+
+
+def _band_product(a: dict, b: dict) -> dict[int, np.ndarray]:
+    """Cyclic diagonals of the product AB: (AB)_{j+k}[i] += A_j[i] B_k[(i+j) % dim].
+
+    Each product is a roll and a multiply, so no dense matrix is formed.
+    """
+    out: dict[int, np.ndarray] = {}
+    for j, da in a.items():
+        for k, db in b.items():
+            term = da * np.roll(db, -j)
+            out[j + k] = out[j + k] + term if j + k in out else term
+    return out
+
+
+def _band_apply(bands: dict):
+    """The operator y -> H y on state vectors, as one gather-and-sum over the
+    cyclic diagonals.  All-zero diagonals are dropped; offset 0 is kept."""
+    offsets = [k for k in sorted(bands) if k == 0 or np.any(bands[k])]
+    coef = np.stack([bands[k] for k in offsets])
+    dim = coef.shape[1]
+    idx = (np.arange(dim) + np.array(offsets)[:, None]) % dim
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        return (coef * y[idx]).sum(0)
+
+    return apply
+
+
+def _dense(bands: dict) -> np.ndarray:
+    """The dense matrix of cyclic diagonals, for the callers that need the
+    whole matrix (spectra, matrix exponentials, ``dump-h``)."""
+    dim = bands[0].size
     h = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(dim - 1)
-    h[n, n + 1] += upper
-    h[n + 1, n] += lower
-    h[np.diag_indices(dim)] += diag
-    if wrap:
-        h[dim - 1, 0] += upper
-        h[0, dim - 1] += lower
+    rows = np.arange(dim)
+    for k, d in bands.items():
+        h[rows, (rows + k) % dim] += d
     return h
 
 
@@ -228,9 +269,15 @@ def hop_parts(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e^{iFt}, kappa2 -> kappa2 e^{-iFt}).
     """
     dim, ring = spec.dim, spec.geometry is Geometry.Ring
-    fwd = _tridiagonal(dim, spec.kappa1, 0, wrap=ring)
-    bwd = _tridiagonal(dim, 0, spec.kappa2, wrap=ring)
+    fwd = _dense(_bands(dim, spec.kappa1, 0, wrap=ring))
+    bwd = _dense(_bands(dim, 0, spec.kappa2, wrap=ring))
     return fwd, bwd, np.diag(_stark_diagonal(spec)).astype(complex)
+
+
+def _spec_bands(spec: LatticeSpec) -> dict[int, np.ndarray]:
+    """The cyclic diagonals of the static H of ``spec`` (see :func:`_bands`)."""
+    ring = spec.geometry is Geometry.Ring
+    return _bands(spec.dim, spec.kappa1, spec.kappa2, diag=_stark_diagonal(spec), wrap=ring)
 
 
 def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
@@ -240,14 +287,7 @@ def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
     site index (window indices for InfiniteChain); Ring adds the cyclic wrap
     entries H[N][0] = kappa1 and H[0][N] = kappa2.
     """
-    entries = _tridiagonal(
-        spec.dim,
-        spec.kappa1,
-        spec.kappa2,
-        diag=_stark_diagonal(spec),
-        wrap=spec.geometry is Geometry.Ring,
-    )
-    return HamiltonianMatrix(entries=entries, offset=spec.offset)
+    return HamiltonianMatrix(entries=_dense(_spec_bands(spec)), offset=spec.offset)
 
 
 def _check_state(spec: LatticeSpec, state: StateVector) -> None:
@@ -264,17 +304,18 @@ def _check_state(spec: LatticeSpec, state: StateVector) -> None:
 def _lattice_deriv(spec: LatticeSpec, flux_rate: float | None = None):
     """The equation of motion as a function deriv(t, y) = -i H(t) y.
 
-    ``y`` is a state vector or a matrix whose columns are state vectors.
-    Without ``flux_rate`` H is static.  With ``flux_rate`` = F (Ring only)
-    the hopping acquires a global Peierls phase, kappa1 -> kappa1 e^{iFt} and
-    kappa2 -> kappa2 e^{-iFt}; the on-site term is skipped when the lattice
-    has no force.
+    Without ``flux_rate`` H is static and applied to a state vector in band
+    form, O(N).  With ``flux_rate`` = F (Ring only) the hopping acquires a
+    global Peierls phase, kappa1 -> kappa1 e^{iFt} and kappa2 -> kappa2
+    e^{-iFt}; ``y`` may then also be a matrix whose columns are state vectors,
+    the two dense hopping parts make each call O(N^2), and the on-site term
+    is skipped when the lattice has no force.
     """
     if flux_rate is None:
-        h = build_hamiltonian(spec).entries
+        apply = _band_apply(_spec_bands(spec))
 
         def deriv(t: float, y: np.ndarray) -> np.ndarray:
-            return -1j * (h @ y)
+            return -1j * apply(y)
 
         return deriv
 
@@ -305,7 +346,8 @@ def rhs(
     With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
     phase, i dc_n/dt = kappa1 e^{iFt} c_{n+1} + kappa2 e^{-iFt} c_{n-1}: the
     gauge representation of a magnetic flux ramped linearly in time through
-    the ring.  The integrators step the same derivative.
+    the ring, and the flux-ring integrators step this derivative.  The static
+    H is applied in band form, so a call without flux is O(N).
     """
     _check_state(spec, state)
     deriv = _lattice_deriv(spec, flux_rate)

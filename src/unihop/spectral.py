@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 from scipy.special import i0
 
@@ -193,6 +192,8 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     entries = build_hamiltonian(spec).entries
     dense = _checked("dense ring eigensolve", np.linalg.eigvals, entries)
     cost = np.abs(eigenvalues[:, None] - dense[None, :])
+    from scipy.optimize import linear_sum_assignment  # deferred: slow to import, used only here
+
     rows, cols = linear_sum_assignment(cost)
     tol = 1e-10 * max(1.0, abs(spec.kappa1))
     worst = float(cost[rows, cols].max())

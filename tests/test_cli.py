@@ -649,6 +649,19 @@ def test_package_runs_as_module():
     assert "COMMAND" in result.stdout
 
 
+def test_cli_import_leaves_optimize_and_integrate_unloaded():
+    # each is imported at its single use, off the start-up path of every command
+    code = (
+        "import sys, unihop.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
     # a rank SVD that fails must land in the exit-code table
     def failing_svdvals(matrix):

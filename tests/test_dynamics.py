@@ -1,5 +1,7 @@
 """Closed-form and RK4 time evolution, observables, and revival metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,6 +14,7 @@ from unihop import (
     LaserParams,
     LatticeSpec,
     OverflowAbort,
+    EdgeLeakError,
     StateVector,
     ValidationError,
     build_hamiltonian,
@@ -19,10 +22,12 @@ from unihop import (
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
+    laser_effective_couplings,
     laser_evolve,
     monodromy,
     propagator_entry_unidirectional,
     revival_error,
+    rhs,
     single_site_state,
 )
 
@@ -104,6 +109,20 @@ class TestClosedForm:
         h = build_hamiltonian(spec).entries
         want = expm(-1j * h * t) @ np.asarray(c0.amps)
         assert np.max(np.abs(traj.amps[0] - want)) <= 1e-12
+
+    def test_interior_support_matches_matrix_exponential(self):
+        # the kernel is convolved over the initial support only
+        rng = np.random.default_rng(13)
+        spec = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=0.9 - 0.7j, window=(-6, 4))
+        amps = np.zeros(spec.dim, dtype=complex)
+        amps[3:7] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c0 = StateVector(offset=-6, amps=amps)
+        traj = evolve_closed_form(spec, c0, [0.4, 2.2])
+        h = build_hamiltonian(spec).entries
+        for t, row in zip(traj.times, traj.amps):
+            want = expm(-1j * h * t) @ amps
+            assert np.max(np.abs(row - want)) <= 1e-12
+            assert np.all(row[7:] == 0.0)
 
     def test_ring_matches_matrix_exponential(self):
         rng = np.random.default_rng(12)
@@ -260,6 +279,175 @@ class TestRk4:
         c0 = single_site_state(spec, 0)
         with pytest.raises(ValidationError):
             evolve_rk4(spec, c0, EvolveConfig(t_end=1.0, dt=0.01), flux_rate=0.5)
+
+
+def _tridiagonal_reference(dim, upper, lower, diag=0, wrap=False):
+    """The dense generator filled entry by entry, independent of the band form."""
+    h = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim - 1)
+    h[n, n + 1] += upper
+    h[n + 1, n] += lower
+    h[np.diag_indices(dim)] += diag
+    if wrap:
+        h[dim - 1, 0] += upper
+        h[0, dim - 1] += lower
+    return h
+
+
+def _staged_dense_step(h_dense, h, y):
+    """Reference: one four-stage RK4 step of dc/dt = -i H c with dense H."""
+    def deriv(v):
+        return -1j * (h_dense @ v)
+
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * h * k1)
+    k3 = deriv(y + 0.5 * h * k2)
+    k4 = deriv(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _random_state(offset, dim, seed):
+    rng = np.random.default_rng(seed)
+    return StateVector(offset=offset, amps=rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def _window(window, kappa1=1.0, kappa2=0j, force=0.0):
+    return LatticeSpec(
+        geometry=Geometry.InfiniteChain, kappa1=kappa1, kappa2=kappa2, force=force,
+        window=window,
+    )
+
+
+_LASER = LaserParams(
+    gain=0.3, loss=0.1, dg=0.02, delta_am=0.4, delta_fm=0.7, phi=0.9, detuning=-0.5
+)
+
+
+class TestBandedStep:
+    """A static RK4 step is one product by the stability polynomial in band form."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            chain(9, kappa1=1.3),
+            _window((-7, 5), kappa1=0.8 - 0.6j, force=0.6),
+            _window((-7, 5), kappa1=0.8 - 0.6j, force=-0.6),
+            LatticeSpec(geometry=Geometry.Ring, kappa1=1 - 2j, kappa2=0.3, force=-0.5, sites=2),
+            LatticeSpec(geometry=Geometry.Ring, kappa1=0.7j, kappa2=1.1, force=0.2, sites=3),
+            chain(7, kappa1=0.9 + 0.4j, kappa2=-0.3 + 0.5j, force=0.25),
+        ],
+        ids=["chain", "window-F+", "window-F-", "ring2", "ring3", "complex-kappa2"],
+    )
+    def test_one_step_matches_staged_dense_step(self, spec):
+        ring_ = spec.geometry is Geometry.Ring
+        h_dense = _tridiagonal_reference(
+            spec.dim, spec.kappa1, spec.kappa2, diag=spec.force * spec.site_indices, wrap=ring_
+        )
+        c0 = _random_state(spec.offset, spec.dim, seed=spec.dim)
+        extent = max(spec.dim, np.abs(spec.site_indices).max())
+        h = 0.04 / max(abs(spec.kappa1), abs(spec.kappa2), abs(spec.force) * extent)
+        got = evolve_rk4(spec, c0, EvolveConfig(t_end=h, dt=h)).amps[-1]
+        want = _staged_dense_step(h_dense, h, np.asarray(c0.amps))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_laser_step_matches_staged_dense_step(self):
+        window = (-6, 8)
+        couplings = laser_effective_couplings(_LASER)
+        n = np.arange(window[0], window[1] + 1, dtype=float)
+        onsite = (
+            couplings.onsite_force * n
+            + couplings.onsite_uniform
+            + couplings.onsite_curvature * n**2
+        )
+        h_dense = _tridiagonal_reference(n.size, couplings.forward, couplings.backward, diag=onsite)
+        c0 = _random_state(window[0], n.size, seed=3)
+        h = 0.04 / max(abs(couplings.forward), abs(_LASER.detuning) * n.size, _LASER.dg * 8**2)
+        # edge_tol = 1 disarms the monitor: a random state has weight on the edges
+        got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=1.0).amps[-1]
+        want = _staged_dense_step(h_dense, h, np.asarray(c0.amps))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_sites_above_support_stay_exactly_zero(self):
+        # kappa2 = 0 moves amplitude only toward lower n, and the cyclic gather
+        # must not wrap the low sites onto the top of the window
+        spec = _window((-20, 30), kappa1=1.1 * np.exp(0.7j), force=0.4)
+        amps = np.asarray(_random_state(-20, spec.dim, seed=5).amps).copy()
+        amps[26:] = 0.0  # support is sites -20..5
+        c0 = StateVector(offset=-20, amps=amps)
+        traj = evolve_rk4(spec, c0, EvolveConfig(t_end=2.0, dt=0.002, record_every=100))
+        assert np.all(traj.amps[:, 26:] == 0.0)
+        assert np.all(traj.amps[-1, :26] != 0.0)
+
+
+class TestWideWindows:
+    def test_hundred_thousand_site_window_matches_closed_form(self):
+        # a dense generator of this window would take 160 GB
+        spec = _window((-50_000, 50_000), kappa1=np.exp(0.4j))
+        c0 = gaussian_state(spec, center=2.5, width=3.0)
+        traj = evolve_rk4(spec, c0, EvolveConfig(t_end=0.2, dt=0.05))
+        exact = evolve_closed_form(spec, c0, traj.times)
+        dev = np.linalg.norm(traj.amps - exact.amps, axis=1) / np.linalg.norm(exact.amps, axis=1)
+        assert len(traj) == 5
+        assert np.max(dev) <= 1e-6
+
+    def _laser_run(self, center):
+        params = LaserParams(
+            gain=0.1, loss=0.0, dg=0.0, delta_am=0.5, delta_fm=0.5,
+            phi=-np.pi / 2, detuning=-0.6,
+        )
+        window = _window((-10_000, 10_000))
+        dt = 0.05 / (0.6 * window.dim)  # the step rule's bound
+        c0 = gaussian_state(window, center=center, width=3.0)
+        return laser_evolve(params, c0, EvolveConfig(t_end=20 * dt, dt=dt, record_every=5))
+
+    def test_laser_on_twenty_thousand_modes(self):
+        traj = self._laser_run(center=0.0)
+        assert len(traj) == 5
+        assert np.all(np.isfinite(traj.weight)) and traj.weight[-1] > traj.weight[0]
+
+    def test_laser_edge_monitor_acts_on_twenty_thousand_modes(self):
+        with pytest.raises(EdgeLeakError):
+            self._laser_run(center=9_998.0)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_N = 2048
+_CHAIN = chain(_N, kappa1=np.exp(0.2j), force=1e-4)
+_FREE_WINDOW = _window((-_N // 2, _N // 2 - 1), kappa1=np.exp(0.2j))
+_FREE_CHAIN = chain(_N, kappa1=np.exp(0.2j))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: evolve_rk4(
+            _CHAIN, gaussian_state(_CHAIN, 1000.0, 3.0), EvolveConfig(t_end=0.2, dt=0.02)
+        ),
+        lambda: laser_evolve(
+            _LASER, gaussian_state(_FREE_WINDOW, 0.0, 3.0),
+            EvolveConfig(t_end=1e-7, dt=1e-7 / 4),
+        ),
+        lambda: evolve_closed_form(
+            _FREE_CHAIN, gaussian_state(_FREE_CHAIN, 1000.0, 3.0), [0.0, 0.5, 1.0]
+        ),
+        lambda: evolve_closed_form(
+            _FREE_WINDOW, gaussian_state(_FREE_WINDOW, 0.0, 3.0), [0.0, 0.5, 1.0]
+        ),
+        lambda: rhs(_CHAIN, 0.0, gaussian_state(_CHAIN, 1000.0, 3.0)),
+    ],
+    ids=["evolve_rk4", "laser_evolve", "closed-chain", "closed-window", "rhs"],
+)
+def test_static_paths_allocate_no_dense_matrix(run):
+    dense = _N * _N * 16
+    assert _peak_bytes(run) < dense / 16
 
 
 def _run_rk4(dt):
