@@ -17,8 +17,8 @@ the period), so revival diagnostics carry no sampling error.  For a static
 generator one RK4 step of size h is exactly multiplication by the stability
 polynomial P = sum_{k<=4} (-i h H)^k / k!, which for tridiagonal H has nine
 cyclic diagonals: static runs build P once in band form and take each step as
-one O(N) gather-and-sum.  The time-dependent flux ring keeps the staged
-four-stage step.
+one O(N) gather-and-sum.  The time-dependent flux ring takes the staged
+four-stage step, each stage one O(N) gather-and-sum of the phased diagonals.
 """
 
 from __future__ import annotations
@@ -328,8 +328,7 @@ def _polynomial(bands: dict):
         for order in range(1, 5):
             term = {k: d / order for k, d in _band_product(term, a).items()}
             p = {k: p.get(k, 0.0) + term.get(k, 0.0) for k in p.keys() | term.keys()}
-        apply = _band_apply(p)
-        return lambda t, y: apply(y)
+        return _band_apply(p)
 
     return stepper
 
@@ -423,7 +422,7 @@ def evolve_rk4(
     t_end/n_steps <= dt is then used so the final time is hit exactly.
     Without ``flux_rate`` H is static and each step is one product by RK4's
     stability polynomial in band form, O(N); the flux ring takes the staged
-    four-stage step.
+    four-stage step of its phased diagonals, also O(N).
     """
     _check_state(spec, c0)
     if flux_rate is None:

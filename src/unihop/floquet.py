@@ -11,7 +11,9 @@ one-period propagator is
 
 every quasi-energy collapses to mu = 0 and any initial state revives exactly
 once per period.  This module computes that collapse both analytically (the
-phase integral in closed form) and by integrating the monodromy matrix.
+phase integral in closed form) and by integrating the monodromy matrix.  The
+driven ring commutes with the lattice shift, so M is circulant and one
+integrated column, that of site 0, gives all of it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .dynamics import _dt_scale, _integrate_rk4, _require_resolved, _staged
+from .dynamics import _dt_scale, _integrate_rk4, _require_resolved, _staged, single_site_state
 from .errors import ComputationError, ValidationError, _checked
-from .lattice import Geometry, LatticeSpec, _lattice_deriv
+from .lattice import Geometry, LatticeSpec, _lattice_deriv, _require_finite_complex
 
 __all__ = [
     "FluxDrive",
@@ -103,9 +106,7 @@ def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyRep
     identically at T_B = 2 pi / F, so every mu_l collapses to 0; the integral
     is evaluated, not assumed.
     """
-    kappa1 = complex(kappa1)
-    if not (math.isfinite(kappa1.real) and math.isfinite(kappa1.imag)):
-        raise ValidationError("kappa1 must be finite")
+    kappa1 = _require_finite_complex("kappa1", kappa1)
     t_b = drive.period
     force = drive.force
     integral = (cmath.exp(1j * force * t_b) - 1.0) / (1j * force)
@@ -115,14 +116,16 @@ def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyRep
 
 
 def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyReport:
-    """One-period propagator of the flux-driven ring, integrated column-wise.
+    """One-period propagator of the flux-driven ring, from one circulant column.
 
     The fundamental matrix Y(t) obeys dY/dt = -i H(t) Y with Y(0) = identity
     and H(t) = kappa1 e^{iFt} (forward bonds) + kappa2 e^{-iFt} (backward
     bonds); the Hermitian comparison mode kappa2 = conj(kappa1) phases the
-    two directions oppositely and yields a unitary monodromy.  Quasi-energies
-    are mu = i log(eig M) / T_B on the principal branch, folded into
-    (-|F|/2, |F|/2].
+    two directions oppositely and yields a unitary monodromy.  Without a
+    Stark term every H(t) is circulant, so Y(t) is too: only the column of
+    site 0 is integrated, in O(N) per stage, and M[i, j] = y[(i - j) mod N].
+    Quasi-energies are mu = i log(eig M) / T_B on the principal branch,
+    folded into (-|F|/2, |F|/2].
     """
     if spec.geometry is not Geometry.Ring:
         raise ValidationError("monodromy requires Ring geometry")
@@ -138,14 +141,14 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
 
     _, states, _ = _integrate_rk4(
         _staged(_lattice_deriv(spec, rate)),
-        np.eye(dim, dtype=complex),
+        single_site_state(spec, 0).amps,
         drive.period,
         dt,
         record_every=10**9,
         renormalize=False,
         remedy="quasi_energies_analytic gives the unidirectional ring's monodromy exactly",
     )
-    m = states[-1]
+    m = scipy.linalg.circulant(states[-1])
     defect = float(np.max(np.abs(m - np.eye(dim))))
     eigenvalues = _checked("monodromy eigensolve", np.linalg.eigvals, m)
     if np.any(np.abs(eigenvalues) < 1e-300):

@@ -18,13 +18,14 @@ only by site n+1.  Three geometries are supported:
   decreasing n, so a window whose upper edge sits above the initial support
   is exact; the Stark diagonal uses absolute site indices.
 
-H is held as its three cyclic diagonals; the dense matrix is formed only for
+H is held as its three cyclic diagonals, and the equation of motion applies
+them in O(N) per call: static H, and the flux-threaded ring, whose Peierls
+phase is a factor e^{ikFt} on diagonal k.  The dense matrix is formed only for
 the callers that need the whole of it.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -232,18 +233,22 @@ def _band_product(a: dict, b: dict) -> dict[int, np.ndarray]:
     return out
 
 
-def _band_apply(bands: dict):
-    """The operator y -> H y on state vectors, as one gather-and-sum over the
-    cyclic diagonals.  All-zero diagonals are dropped; offset 0 is kept."""
+def _band_apply(bands: dict, rate: float | None = None):
+    """The operator (t, y) -> H(t) y on state vectors, as one gather-and-sum
+    over the cyclic diagonals.  All-zero diagonals are dropped; offset 0 is
+    kept.
+
+    With ``rate`` = F, diagonal k carries the Peierls factor e^{ikFt}; without
+    it H is static and ``t`` is ignored.
+    """
     offsets = [k for k in sorted(bands) if k == 0 or np.any(bands[k])]
     coef = np.stack([bands[k] for k in offsets])
     dim = coef.shape[1]
     idx = (np.arange(dim) + np.array(offsets)[:, None]) % dim
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        return (coef * y[idx]).sum(0)
-
-    return apply
+    if rate is None:
+        return lambda t, y: (coef * y[idx]).sum(0)
+    phase_rates = 1j * rate * np.array(offsets)[:, None]
+    return lambda t, y: (np.exp(phase_rates * t) * (coef * y[idx])).sum(0)
 
 
 def _dense(bands: dict) -> np.ndarray:
@@ -262,11 +267,13 @@ def _stark_diagonal(spec: LatticeSpec) -> np.ndarray:
 
 
 def hop_parts(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split H into (forward kappa1 part, backward kappa2 part, Stark diagonal).
+    """Split H into dense (forward kappa1 part, backward kappa2 part, Stark
+    diagonal) matrices.
 
-    The split exists so time-dependent Peierls phases can multiply the two
-    hopping directions independently (flux-threaded ring: kappa1 -> kappa1
-    e^{iFt}, kappa2 -> kappa2 e^{-iFt}).
+    On the flux-threaded ring the Peierls phase multiplies the two hopping
+    directions independently (kappa1 -> kappa1 e^{iFt}, kappa2 -> kappa2
+    e^{-iFt}).  The integrators apply that phase per cyclic diagonal and no
+    longer use this split; it is kept as a public dense reference.
     """
     dim, ring = spec.dim, spec.geometry is Geometry.Ring
     fwd = _dense(_bands(dim, spec.kappa1, 0, wrap=ring))
@@ -302,37 +309,15 @@ def _check_state(spec: LatticeSpec, state: StateVector) -> None:
 
 
 def _lattice_deriv(spec: LatticeSpec, flux_rate: float | None = None):
-    """The equation of motion as a function deriv(t, y) = -i H(t) y.
+    """The equation of motion as a function deriv(t, y) = -i H(t) y, O(N).
 
-    Without ``flux_rate`` H is static and applied to a state vector in band
-    form, O(N).  With ``flux_rate`` = F (Ring only) the hopping acquires a
-    global Peierls phase, kappa1 -> kappa1 e^{iFt} and kappa2 -> kappa2
-    e^{-iFt}; ``y`` may then also be a matrix whose columns are state vectors,
-    the two dense hopping parts make each call O(N^2), and the on-site term
-    is skipped when the lattice has no force.
+    With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
+    phase, kappa1 -> kappa1 e^{iFt} and kappa2 -> kappa2 e^{-iFt}: cyclic
+    diagonal k of the banded H is multiplied by e^{ikFt}.
     """
-    if flux_rate is None:
-        apply = _band_apply(_spec_bands(spec))
-
-        def deriv(t: float, y: np.ndarray) -> np.ndarray:
-            return -1j * apply(y)
-
-        return deriv
-
-    if spec.geometry is not Geometry.Ring:
+    if flux_rate is not None and spec.geometry is not Geometry.Ring:
         raise ValidationError("flux_rate is only defined for Ring geometry")
-    fwd, bwd, _ = hop_parts(spec)
-    onsite = _stark_diagonal(spec) if spec.force != 0.0 else None
-    rate = float(flux_rate)
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        phase = cmath.exp(1j * rate * t)
-        hop = phase * (fwd @ y) + np.conj(phase) * (bwd @ y)
-        if onsite is None:
-            return -1j * hop
-        return -1j * (hop + (onsite * y.T).T)
-
-    return deriv
+    return _band_apply({k: -1j * d for k, d in _spec_bands(spec).items()}, flux_rate)
 
 
 def rhs(
@@ -346,8 +331,8 @@ def rhs(
     With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
     phase, i dc_n/dt = kappa1 e^{iFt} c_{n+1} + kappa2 e^{-iFt} c_{n-1}: the
     gauge representation of a magnetic flux ramped linearly in time through
-    the ring, and the flux-ring integrators step this derivative.  The static
-    H is applied in band form, so a call without flux is O(N).
+    the ring, and the flux-ring integrators step this derivative.  H(t) is
+    applied in band form, with or without flux, so a call is O(N).
     """
     _check_state(spec, state)
     deriv = _lattice_deriv(spec, flux_rate)

@@ -31,6 +31,7 @@ from .lattice import (
     HamiltonianMatrix,
     LatticeSpec,
     StateVector,
+    _require_finite_complex,
     build_hamiltonian,
 )
 
@@ -142,9 +143,7 @@ def bloch_dispersion(kappa1: complex, q_values) -> list[DispersionSample]:
     |kappa1| in the complex energy plane; q is conventionally taken in
     [-pi, pi).
     """
-    kappa1 = complex(kappa1)
-    if not (math.isfinite(kappa1.real) and math.isfinite(kappa1.imag)):
-        raise ValidationError("kappa1 must be finite")
+    kappa1 = _require_finite_complex("kappa1", kappa1)
     q_arr = np.asarray(q_values, dtype=float)
     if not np.all(np.isfinite(q_arr)):
         raise ValidationError("q values must be finite")

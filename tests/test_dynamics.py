@@ -423,6 +423,10 @@ _N = 2048
 _CHAIN = chain(_N, kappa1=np.exp(0.2j), force=1e-4)
 _FREE_WINDOW = _window((-_N // 2, _N // 2 - 1), kappa1=np.exp(0.2j))
 _FREE_CHAIN = chain(_N, kappa1=np.exp(0.2j))
+_FLUX_RING = LatticeSpec(
+    geometry=Geometry.Ring, kappa1=np.exp(0.2j), kappa2=0.3 - 0.1j, sites=_N
+)
+_FLUX_RATE = 2.0 * np.pi / _N
 
 
 @pytest.mark.parametrize(
@@ -442,8 +446,18 @@ _FREE_CHAIN = chain(_N, kappa1=np.exp(0.2j))
             _FREE_WINDOW, gaussian_state(_FREE_WINDOW, 0.0, 3.0), [0.0, 0.5, 1.0]
         ),
         lambda: rhs(_CHAIN, 0.0, gaussian_state(_CHAIN, 1000.0, 3.0)),
+        lambda: evolve_rk4(
+            _FLUX_RING, gaussian_state(_FLUX_RING, 1000.0, 3.0),
+            EvolveConfig(t_end=0.2, dt=0.02), flux_rate=_FLUX_RATE,
+        ),
+        lambda: rhs(
+            _FLUX_RING, 0.7, gaussian_state(_FLUX_RING, 1000.0, 3.0), flux_rate=_FLUX_RATE
+        ),
     ],
-    ids=["evolve_rk4", "laser_evolve", "closed-chain", "closed-window", "rhs"],
+    ids=[
+        "evolve_rk4", "laser_evolve", "closed-chain", "closed-window", "rhs",
+        "flux-evolve_rk4", "flux-rhs",
+    ],
 )
 def test_static_paths_allocate_no_dense_matrix(run):
     dense = _N * _N * 16

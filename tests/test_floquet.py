@@ -1,5 +1,7 @@
 """Flux-driven ring: quasi-energy collapse and monodromy integration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from unihop import (
     ValidationError,
     evolve_rk4,
     fold_quasi_energy,
+    hop_parts,
     monodromy,
     quasi_energies_analytic,
     revival_error,
@@ -166,3 +169,54 @@ class TestMonodromy:
             monodromy(good, drive, dt=0.2)
         with pytest.raises(ValidationError):
             monodromy(good, drive, dt=0.0)
+
+
+class TestCirculantMonodromy:
+    """The driven ring commutes with the lattice shift, so one column gives M."""
+
+    @pytest.mark.parametrize("sites", [2, 3, 7])
+    @pytest.mark.parametrize("phi0_rate", [0.7, -0.7])
+    def test_flux_propagator_commutes_with_shift(self, sites, phi0_rate):
+        drive = FluxDrive(phi0_rate=phi0_rate, sites=sites)
+        spec = ring(sites, kappa1=0.8 - 0.6j, kappa2=0.3 + 0.2j)
+        t_end = drive.period / 3.0  # M is far from the identity here
+        cfg = EvolveConfig(t_end=t_end, dt=t_end / 600, record_every=50)
+        base = evolve_rk4(spec, single_site_state(spec, 0), cfg, flux_rate=drive.force)
+        assert np.max(np.abs(base.amps[-1] - base.amps[0])) > 0.1
+        for j in range(1, sites):
+            moved = evolve_rk4(spec, single_site_state(spec, j), cfg, flux_rate=drive.force)
+            assert np.array_equal(moved.amps, np.roll(base.amps, j, axis=1))
+
+    @pytest.mark.parametrize(
+        "sites, phi0_rate", [(2, 1.0), (3, -1.0), (6, 0.5), (12, -1.5)]
+    )
+    def test_matches_full_column_reference(self, sites, phi0_rate):
+        # the 2-site ring aliases its wrap bonds onto the chain bond; steps
+        # near the step-rule bound leave an RK4 defect far above the tolerance
+        drive = FluxDrive(phi0_rate=phi0_rate, sites=sites)
+        spec = ring(sites, kappa1=0.9 - 0.4j, kappa2=0.35 + 0.1j)
+        n_steps = math.ceil(drive.period * max(abs(drive.force), 1.0) / 0.05)
+        report = monodromy(spec, drive, dt=drive.period / n_steps)
+        assert report.monodromy_defect > 1e-11
+        want = _dense_flux_monodromy(spec, drive, n_steps)
+        assert np.max(np.abs(report.monodromy - want)) <= 1e-12
+
+
+def _dense_flux_monodromy(spec, drive, n_steps):
+    """Reference: RK4 on all N columns of Y with the dense Peierls-phased H(t)."""
+    fwd, bwd, _ = hop_parts(spec)
+
+    def deriv(t, y):
+        phase = np.exp(1j * drive.force * t)
+        return -1j * (phase * (fwd @ y) + np.conj(phase) * (bwd @ y))
+
+    h = drive.period / n_steps
+    y = np.eye(spec.dim, dtype=complex)
+    for step in range(n_steps):
+        t = step * h
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
