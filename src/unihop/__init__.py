@@ -18,6 +18,8 @@ The ``unihop`` console script (see :mod:`unihop.cli`) exposes the same
 operations with CSV/JSON output.
 """
 
+import types
+
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -85,64 +87,9 @@ from .engineering import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "UnihopError",
-    "ValidationError",
-    "ComputationError",
-    "OverflowAbort",
-    "RootNotFoundError",
-    "StalledIterationError",
-    "EdgeLeakError",
-    # lattice
-    "Geometry",
-    "LatticeSpec",
-    "HamiltonianMatrix",
-    "StateVector",
-    "build_hamiltonian",
-    "hop_parts",
-    "rhs",
-    # spectral
-    "DispersionSample",
-    "SpectrumCluster",
-    "SpectrumReport",
-    "WannierStarkState",
-    "bloch_dispersion",
-    "ring_spectrum",
-    "analyze_spectrum",
-    "wannier_stark_states",
-    # dynamics
-    "EvolveConfig",
-    "StateTrajectory",
-    "single_site_state",
-    "gaussian_state",
-    "propagator_entry_unidirectional",
-    "evolve_closed_form",
-    "evolve_rk4",
-    "center_of_mass",
-    "revival_error",
-    # floquet
-    "FluxDrive",
-    "QuasiEnergyReport",
-    "fold_quasi_energy",
-    "quasi_energies_analytic",
-    "monodromy",
-    # engineering
-    "ModulationProtocol",
-    "EffectiveHopping",
-    "UnidirectionalRoot",
-    "RwaSample",
-    "LaserParams",
-    "LaserCouplings",
-    "modulation_envelope",
-    "potential",
-    "kick_events",
-    "effective_hopping",
-    "effective_hopping_quadrature",
-    "solve_unidirectional",
-    "rwa_validate",
-    "laser_effective_couplings",
-    "laser_hamiltonian",
-    "laser_evolve",
+# the public API is the version and exactly the names imported above
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

@@ -297,6 +297,14 @@ def _require_resolved(dt: float, scale: float, what: str) -> None:
         )
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """The RK4 step count n = ceil(t_end / dt): h = t_end / n <= dt lands on t_end."""
+    steps = t_end / dt * (1.0 - 1e-12)
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take")
+    return max(1, math.ceil(steps))
+
+
 def _staged(deriv):
     """The four-stage RK4 step of deriv(t, y), as a stepper h -> step(t, y)."""
 
@@ -340,7 +348,6 @@ def _integrate_rk4(
     dt: float,
     record_every: int,
     renormalize: bool,
-    remedy: str,
     step_hook=None,
 ):
     """Fixed-step RK4 with exact landing on t_end.
@@ -349,8 +356,8 @@ def _integrate_rk4(
     after (t, y): :func:`_polynomial` for a static generator, :func:`_staged`
     for a time-dependent one.  Returns (times, states, log_scale) arrays of
     the recorded steps.  Without ``renormalize`` the overflow guard aborts
-    once max|c| exceeds 1e150 (secular non-Hermitian growth is physical),
-    naming ``remedy``.  ``step_hook``, when given, is called with (t, y)
+    once max|c| exceeds 1e150 (secular non-Hermitian growth is physical) and
+    names that option.  ``step_hook``, when given, is called with (t, y)
     after every step.
     """
     if t_end == 0.0:
@@ -359,12 +366,7 @@ def _integrate_rk4(
             y0[None, :].astype(complex),
             np.zeros(1),
         )
-    steps = t_end / dt * (1.0 - 1e-12)
-    if not math.isfinite(steps):
-        raise ValidationError(
-            f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take"
-        )
-    n_steps = max(1, math.ceil(steps))
+    n_steps = _step_count(t_end, dt)
     h = t_end / n_steps
     advance = stepper(h)
     y = y0.astype(complex)
@@ -382,7 +384,7 @@ def _integrate_rk4(
             y = y / scale
             log_scale += math.log(scale)
         else:
-            _guard_overflow(y, t_next, remedy)
+            _guard_overflow(y, t_next, _RENORMALIZE)
         if step_hook is not None:
             step_hook(t_next, y)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
@@ -402,8 +404,7 @@ def _evolve(
         _require_resolved(cfg.dt, scale, what)
     y0 = np.asarray(c0.amps)
     times, states, logs = _integrate_rk4(
-        stepper, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize,
-        _RENORMALIZE, step_hook,
+        stepper, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize, step_hook
     )
     return _observables(times, states, c0.offset, y0, logs, cfg.renormalize)
 

@@ -11,9 +11,9 @@ one-period propagator is
 
 every quasi-energy collapses to mu = 0 and any initial state revives exactly
 once per period.  This module computes that collapse both analytically (the
-phase integral in closed form) and by integrating the monodromy matrix.  The
-driven ring commutes with the lattice shift, so M is circulant and one
-integrated column, that of site 0, gives all of it.
+phase integral in closed form) and by RK4.  Every H(t) is circulant, so RK4
+acts on each Bloch mode as a scalar ODE and M follows from the products of
+the per-mode step factors.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import _dt_scale, _integrate_rk4, _require_resolved, _staged, single_site_state
-from .errors import ComputationError, ValidationError, _checked
-from .lattice import Geometry, LatticeSpec, _lattice_deriv, _require_finite_complex
+from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _require_resolved, _step_count
+from .errors import ComputationError, ValidationError
+from .lattice import Geometry, LatticeSpec, _require_finite_complex
 
 __all__ = [
     "FluxDrive",
@@ -36,6 +36,8 @@ __all__ = [
     "quasi_energies_analytic",
     "monodromy",
 ]
+
+_REMEDY = "quasi_energies_analytic gives the unidirectional ring's monodromy exactly"
 
 
 @dataclass(frozen=True)
@@ -115,17 +117,49 @@ def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyRep
     return QuasiEnergyReport(mu=fold_quasi_energy(mu, force))
 
 
-def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyReport:
-    """One-period propagator of the flux-driven ring, from one circulant column.
+def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> np.ndarray:
+    """RK4 on each Bloch mode q_l = 2 pi l / N of the flux ring, from 1: Lambda_l(t_end).
 
-    The fundamental matrix Y(t) obeys dY/dt = -i H(t) Y with Y(0) = identity
-    and H(t) = kappa1 e^{iFt} (forward bonds) + kappa2 e^{-iFt} (backward
-    bonds); the Hermitian comparison mode kappa2 = conj(kappa1) phases the
-    two directions oppositely and yields a unitary monodromy.  Without a
-    Stark term every H(t) is circulant, so Y(t) is too: only the column of
-    site 0 is integrated, in O(N) per stage, and M[i, j] = y[(i - j) mod N].
-    Quasi-energies are mu = i log(eig M) / T_B on the principal branch,
-    folded into (-|F|/2, |F|/2].
+    Mode q obeys dy/dt = a(t) y, a(t) = -i (kappa1 e^{i(q+Ft)} + kappa2 e^{-i(q+Ft)}),
+    so a step of size h multiplies it by r = 1 + h/6 (g1 + 2 g2 + 2 g3 + g4) with
+    g1 = a(t), g2 = a(t+h/2)(1 + h/2 g1), g3 = a(t+h/2)(1 + h/2 g2) and
+    g4 = a(t+h)(1 + h g3).  The running product is taken in blocks of at most
+    2^14 step-mode entries; the overflow guard stops at the first step where a
+    |Lambda_l| passes 1e150 or is not finite.
+    """
+    n_steps = _step_count(t_end, dt)
+    h = t_end / n_steps
+    bloch = np.exp(2j * np.pi * np.arange(spec.dim) / spec.dim)
+    fwd, bwd = -1j * spec.kappa1 * bloch, -1j * spec.kappa2 * bloch.conj()
+    block = max(1, 2**14 // spec.dim)
+    product = np.ones(spec.dim, dtype=complex)
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        phase = np.exp(0.5j * rate * h * np.arange(2 * start, 2 * stop + 1))[:, None]
+        a = fwd * phase + bwd * phase.conj()
+        g1, mid, end = a[:-1:2], a[1::2], a[2::2]
+        g2 = mid * (1.0 + 0.5 * h * g1)
+        g3 = mid * (1.0 + 0.5 * h * g2)
+        factors = 1.0 + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + end * (1.0 + h * g3))
+        factors[0] *= product
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard decides
+            running = np.cumprod(factors, axis=0)
+            bad = np.flatnonzero(~(np.abs(running).max(axis=1) <= _OVERFLOW_LIMIT))
+        if bad.size:
+            _guard_overflow(running[bad[0]], (start + bad[0] + 1) * h, _REMEDY)
+        product = running[-1]
+    return product
+
+
+def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyReport:
+    """One-period propagator M of the flux-driven ring, from its Bloch modes.
+
+    H(t) = kappa1 e^{iFt} (forward bonds) + kappa2 e^{-iFt} (backward bonds);
+    kappa2 = conj(kappa1) is the unitary Hermitian comparison.  Without a
+    Stark term every H(t) is circulant, so one period of RK4 multiplies Bloch
+    mode q_l by Lambda_l (:func:`_bloch_products`).  M is the circulant matrix
+    of ifft(Lambda), and mu_l = i log(Lambda_l) / T_B on the principal branch,
+    folded into (-|F|/2, |F|/2], in the q order of :func:`quasi_energies_analytic`.
     """
     if spec.geometry is not Geometry.Ring:
         raise ValidationError("monodromy requires Ring geometry")
@@ -133,29 +167,16 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
         raise ValidationError("drive.sites must match the ring size")
     if spec.force != 0.0:
         raise ValidationError("the ring flux supplies the force; set spec.force = 0")
-    rate = drive.force
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("dt must be positive and finite")
-    _require_resolved(dt, _dt_scale(spec, rate), "the drive")
-    dim = spec.dim
+    _require_resolved(dt, _dt_scale(spec, drive.force), "the drive")
 
-    _, states, _ = _integrate_rk4(
-        _staged(_lattice_deriv(spec, rate)),
-        single_site_state(spec, 0).amps,
-        drive.period,
-        dt,
-        record_every=10**9,
-        renormalize=False,
-        remedy="quasi_energies_analytic gives the unidirectional ring's monodromy exactly",
-    )
-    m = scipy.linalg.circulant(states[-1])
-    defect = float(np.max(np.abs(m - np.eye(dim))))
-    eigenvalues = _checked("monodromy eigensolve", np.linalg.eigvals, m)
-    if np.any(np.abs(eigenvalues) < 1e-300):
+    products = _bloch_products(spec, drive.force, drive.period, dt)
+    if np.any(np.abs(products) < 1e-300):
         raise ComputationError("monodromy is numerically singular")
-    mu = 1j * np.log(eigenvalues) / drive.period
+    m = scipy.linalg.circulant(np.fft.ifft(products))
     return QuasiEnergyReport(
-        mu=fold_quasi_energy(mu, rate),
+        mu=fold_quasi_energy(1j * np.log(products) / drive.period, drive.force),
         monodromy=m,
-        monodromy_defect=defect,
+        monodromy_defect=float(np.max(np.abs(m - np.eye(spec.dim)))),
     )

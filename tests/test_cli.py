@@ -700,10 +700,27 @@ def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
     _assert_exit_3(code, err, "dense ring eigensolve failed")
 
 
-def test_monodromy_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(np.linalg, "eigvals", _failing(ValueError("array must be finite")))
+@pytest.mark.parametrize(
+    "fill, what",
+    [(np.nan, "amplitude overflow"), (0.0, "monodromy is numerically singular")],
+    ids=["non-finite", "singular"],
+)
+def test_degenerate_bloch_product_maps_to_exit_3(monkeypatch, capsys, fill, what):
+    # the running product of the per-step factors is the only route to mu
+    monkeypatch.setattr(np, "cumprod", lambda a, axis: np.full_like(a, fill))
     code, _, err = run(["floquet", "--sites", "4"], capsys)
-    _assert_exit_3(code, err, "monodromy eigensolve failed")
+    _assert_exit_3(code, err, what)
+    assert len(err.splitlines()) == 1
+
+
+def test_floquet_overflow_names_the_exact_route(capsys):
+    code, _, err = run(
+        ["floquet", "--sites", "6", "--kappa1", "1e3+0i", "--steps-per-period", "2000000"],
+        capsys,
+    )
+    _assert_exit_3(code, err, "amplitude overflow")
+    assert "quasi_energies_analytic" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):

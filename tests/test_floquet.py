@@ -1,9 +1,12 @@
 """Flux-driven ring: quasi-energy collapse and monodromy integration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from unihop import (
     EvolveConfig,
@@ -20,6 +23,9 @@ from unihop import (
     revival_error,
     single_site_state,
 )
+from unihop.dynamics import _integrate_rk4, _staged
+from unihop.floquet import _bloch_products
+from unihop.lattice import _lattice_deriv
 
 
 def ring(sites, kappa1=1.0, kappa2=0j):
@@ -169,6 +175,43 @@ class TestMonodromy:
             monodromy(good, drive, dt=0.2)
         with pytest.raises(ValidationError):
             monodromy(good, drive, dt=0.0)
+        with pytest.raises(ValidationError, match="too many steps"):
+            monodromy(good, drive, dt=1e-320)
+
+    @pytest.mark.parametrize("kappa1", [1.0, 1.3 * np.exp(0.9j), 2.0])
+    @pytest.mark.parametrize("sites", [2, 5, 12])
+    def test_mu_matches_analytic_in_q_order(self, sites, kappa1):
+        drive = FluxDrive(phi0_rate=-1.0, sites=sites)
+        report = monodromy(ring(sites, kappa1=kappa1), drive, dt=drive.period / 10**4)
+        want = quasi_energies_analytic(kappa1, drive).mu
+        assert np.max(np.abs(report.mu - want)) <= 1e-12 * abs(drive.force)
+
+    @pytest.mark.parametrize("sites", [2, 3, 7, 12])
+    def test_eigenphases_match_dense_eigensolve(self, sites):
+        # the coarsest admissible step moves the eigenvalues off 1 by far
+        # more than the tolerance, so the match sees the RK4 error
+        drive = FluxDrive(phi0_rate=0.6, sites=sites)
+        spec = ring(sites, kappa1=1.4 - 0.9j, kappa2=0.4 + 0.3j)
+        report = monodromy(spec, drive, dt=0.05 / max(abs(spec.kappa1), abs(drive.force)))
+        assert report.monodromy_defect > 1e-9
+        phases = np.exp(-1j * report.mu * drive.period)
+        eigenvalues = np.linalg.eigvals(report.monodromy)
+        cost = np.abs(phases[:, None] - eigenvalues[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert np.max(cost[rows, cols]) <= 1e-12
+
+    def test_traced_peak_is_bounded(self):
+        # the running product works in fixed-size blocks, so memory does not
+        # grow with the step count
+        drive = FluxDrive(phi0_rate=1.0, sites=4)
+        tracemalloc.start()
+        try:
+            report = monodromy(ring(4), drive, dt=drive.period / 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.monodromy_defect <= 1e-12
+        assert peak < 8 * 2**20
 
 
 class TestCirculantMonodromy:
@@ -200,6 +243,26 @@ class TestCirculantMonodromy:
         assert report.monodromy_defect > 1e-11
         want = _dense_flux_monodromy(spec, drive, n_steps)
         assert np.max(np.abs(report.monodromy - want)) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [2, 3, 7, 12])
+    @pytest.mark.parametrize("phi0_rate", [0.9, -0.9])
+    def test_bloch_product_matches_staged_route(self, sites, phi0_rate):
+        # a third of a period, where M is far from the identity
+        drive = FluxDrive(phi0_rate=phi0_rate, sites=sites)
+        spec = ring(sites, kappa1=1.6 - 1.2j, kappa2=0.5 + 0.4j)
+        t_end, dt = drive.period / 3.0, 0.01
+        column = np.fft.ifft(_bloch_products(spec, drive.force, t_end, dt))
+        _, states, _ = _integrate_rk4(
+            _staged(_lattice_deriv(spec, drive.force)),
+            single_site_state(spec, 0).amps,
+            t_end,
+            dt,
+            record_every=10**9,
+            renormalize=False,
+        )
+        scale = np.max(np.abs(states[-1]))
+        assert np.max(np.abs(column - states[-1])) <= 1e-12 * scale
+        assert np.max(np.abs(scipy.linalg.circulant(column) - np.eye(sites))) > 0.5
 
 
 def _dense_flux_monodromy(spec, drive, n_steps):
