@@ -13,12 +13,14 @@ with E(q) = kappa1 e^{iq}, evaluated here by FFT.
 
 The RK4 path integrates dc/dt = -i H(t) c with a uniform step chosen to land
 exactly on t_end (and hence exactly on Bloch-period multiples when dt divides
-the period), so revival diagnostics carry no sampling error.  For a static
-generator one RK4 step of size h is exactly multiplication by the stability
-polynomial P = sum_{k<=4} (-i h H)^k / k!, which for tridiagonal H has nine
-cyclic diagonals: static runs build P once in band form and take each step as
-one O(N) gather-and-sum.  The time-dependent flux ring takes the staged
-four-stage step, each stage one O(N) gather-and-sum of the phased diagonals.
+the period), so revival diagnostics carry no sampling error.  One RK4 step of
+size h from t is multiplication by a matrix P(t) = I + Delta(t).  H is
+tridiagonal, and on the flux ring its diagonal k carries e^{ikFt}, so Delta
+has at most nine cyclic diagonals and diagonal m of Delta(t) is a constant
+band times e^{imFt} (a static H is the case F = 0).  Every RK4 path, the
+static and flux evolutions, the laser and the flux-ring monodromy, builds
+those bands once with :func:`_increment` and takes each step as one O(N)
+gather-and-sum.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .lattice import (
     _band_apply,
     _band_product,
     _check_state,
-    _lattice_deriv,
     _spec_bands,
 )
 
@@ -305,108 +306,90 @@ def _step_count(t_end: float, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _staged(deriv):
-    """The four-stage RK4 step of deriv(t, y), as a stepper h -> step(t, y)."""
+def _increment(bands: dict, rate: float | None, h: float) -> dict[int, np.ndarray]:
+    """Cyclic diagonals of one RK4 step's increment Delta = P - I, the
+    single place the four stages are written out.
 
-    def stepper(h: float):
-        def step(t: float, y: np.ndarray) -> np.ndarray:
-            k1 = deriv(t, y)
-            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = deriv(t + h, y + h * k3)
-            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        return step
-
-    return stepper
-
-
-def _polynomial(bands: dict):
-    """The RK4 step of the static generator with cyclic diagonals ``bands``,
-    as a stepper h -> step(t, y) = P y.
-
-    P = sum_{k<=4} A^k / k! with A = -i h H is RK4's stability polynomial, so
-    one product by P is exactly one four-stage step.  P is built once from
-    band products and has at most nine diagonals.
+    With A(s) = -i h H(s), the stages g1 = A(t), g2 = A(t+h/2)(1 + g1/2),
+    g3 = A(t+h/2)(1 + g2/2) and g4 = A(t+h)(1 + g3) give
+    Delta = (g1 + 2 g2 + 2 g3 + g4) / 6.  With ``rate`` = F diagonal k of H(s)
+    carries e^{ikFs}, so every term on diagonal m carries e^{imFt}: the bands
+    returned are those at t = 0, and diagonal m of the step at t is theirs
+    times e^{imFt}.  Offsets stay unreduced (at most nine, -4..4), so each
+    keeps its own phase even where two of them reach the same site.  For a
+    static H (``rate`` None) Delta = A + A^2/2 + A^3/6 + A^4/24.
     """
 
-    def stepper(h: float):
-        a = {k: -1j * h * d for k, d in bands.items()}
-        p = term = {0: np.ones(bands[0].size, dtype=complex)}
-        for order in range(1, 5):
-            term = {k: d / order for k, d in _band_product(term, a).items()}
-            p = {k: p.get(k, 0.0) + term.get(k, 0.0) for k in p.keys() | term.keys()}
-        return _band_apply(p)
+    def generator(s: float) -> dict[int, np.ndarray]:
+        return {k: -1j * h * cmath.exp(1j * k * (rate or 0.0) * s) * d for k, d in bands.items()}
 
-    return stepper
+    def stage(a: dict, g: dict, c: float) -> dict[int, np.ndarray]:
+        """a (1 + c g) in band form."""
+        out = {k: c * d for k, d in _band_product(a, g).items()}
+        for k, d in a.items():
+            out[k] = out[k] + d if k in out else d
+        return out
+
+    a_mid = generator(0.5 * h)
+    g1 = generator(0.0)
+    g2 = stage(a_mid, g1, 0.5)
+    g3 = stage(a_mid, g2, 0.5)
+    g4 = stage(generator(h), g3, 1.0)
+    return {  # g4 holds every offset of the others
+        k: (g1.get(k, 0.0) + 2.0 * g2.get(k, 0.0) + 2.0 * g3.get(k, 0.0) + g4[k]) / 6.0
+        for k in g4
+    }
 
 
-def _integrate_rk4(
-    stepper,
-    y0: np.ndarray,
-    t_end: float,
-    dt: float,
-    record_every: int,
-    renormalize: bool,
-    step_hook=None,
-):
-    """Fixed-step RK4 with exact landing on t_end.
+def _evolve(
+    bands: dict, rate: float | None, c0: StateVector, cfg: EvolveConfig,
+    scale: float, what: str, step_hook=None,
+) -> StateTrajectory:
+    """Fixed-step RK4 of dc/dt = -i H(t) c from c0, landing exactly on t_end.
 
-    ``stepper`` maps the uniform step h to step(t, y), the state one RK4 step
-    after (t, y): :func:`_polynomial` for a static generator, :func:`_staged`
-    for a time-dependent one.  Returns (times, states, log_scale) arrays of
-    the recorded steps.  Without ``renormalize`` the overflow guard aborts
-    once max|c| exceeds 1e150 (secular non-Hermitian growth is physical) and
-    names that option.  ``step_hook``, when given, is called with (t, y)
-    after every step.
+    H(t) has the cyclic diagonals ``bands``, diagonal k phased by e^{ikFt}
+    with ``rate`` = F (static for None).  The state must be nonzero and dt
+    must pass the step rule for ``scale`` (``what`` names it).  The step
+    matrix I + Delta of :func:`_increment` is built once, with I folded into
+    offset 0 (phase 1), so each step is one gather-and-sum at t_n.  Without
+    ``renormalize`` the overflow guard aborts once max|c| exceeds 1e150
+    (secular non-Hermitian growth is physical) and names that option.
+    ``step_hook``, when given, is called with (t, y) after every step.
     """
-    if t_end == 0.0:
-        return (
-            np.zeros(1),
-            y0[None, :].astype(complex),
-            np.zeros(1),
-        )
-    n_steps = _step_count(t_end, dt)
-    h = t_end / n_steps
-    advance = stepper(h)
-    y = y0.astype(complex)
-    log_scale = 0.0
-    rec_times = [0.0]
-    rec_states = [y.copy()]
-    rec_logs = [0.0]
+    if c0.norm() == 0.0:
+        raise ValidationError("initial state must be nonzero")
+    y0 = np.asarray(c0.amps)
+    if cfg.t_end == 0.0:
+        return _observables(np.zeros(1), y0[None, :], c0.offset, y0, None, cfg.renormalize)
+    _require_resolved(cfg.dt, scale, what)
+    n_steps = _step_count(cfg.t_end, cfg.dt)
+    h = cfg.t_end / n_steps
+    step_bands = _increment(bands, rate, h)
+    step_bands[0] = step_bands[0] + 1.0
+    advance = _band_apply(step_bands, rate)
+    y, log_scale = y0, 0.0
+    rec_times, rec_states, rec_logs = [0.0], [y0], [0.0]
     for step in range(n_steps):
         y = advance(step * h, y)
         t_next = (step + 1) * h
-        if renormalize:
-            scale = float(np.linalg.norm(y))
-            if scale == 0.0 or not math.isfinite(scale):
+        if cfg.renormalize:
+            norm = float(np.linalg.norm(y))
+            if norm == 0.0 or not math.isfinite(norm):
                 raise OverflowAbort(f"state norm degenerate at t = {t_next:.6g}")
-            y = y / scale
-            log_scale += math.log(scale)
+            y = y / norm
+            log_scale += math.log(norm)
         else:
             _guard_overflow(y, t_next, _RENORMALIZE)
         if step_hook is not None:
             step_hook(t_next, y)
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+        if (step + 1) % cfg.record_every == 0 or step + 1 == n_steps:
             rec_times.append(t_next)
-            rec_states.append(y.copy())
+            rec_states.append(y)
             rec_logs.append(log_scale)
-    return np.asarray(rec_times), np.asarray(rec_states), np.asarray(rec_logs)
-
-
-def _evolve(
-    stepper, c0: StateVector, cfg: EvolveConfig, scale: float, what: str, step_hook=None
-) -> StateTrajectory:
-    """The RK4 front end: nonzero state, step rule, integration, observables."""
-    if c0.norm() == 0.0:
-        raise ValidationError("initial state must be nonzero")
-    if cfg.t_end > 0.0:
-        _require_resolved(cfg.dt, scale, what)
-    y0 = np.asarray(c0.amps)
-    times, states, logs = _integrate_rk4(
-        stepper, y0, cfg.t_end, cfg.dt, cfg.record_every, cfg.renormalize, step_hook
+    return _observables(
+        np.asarray(rec_times), np.asarray(rec_states), c0.offset, y0, np.asarray(rec_logs),
+        cfg.renormalize,
     )
-    return _observables(times, states, c0.offset, y0, logs, cfg.renormalize)
 
 
 def evolve_rk4(
@@ -420,17 +403,14 @@ def evolve_rk4(
     The step must resolve the fastest scale present:
     dt <= 0.05 / max(|kappa1|, |kappa2|, |F|*extent, |flux_rate|) with extent
     the largest |site index| (or the dimension, if larger).  A uniform step
-    t_end/n_steps <= dt is then used so the final time is hit exactly.
-    Without ``flux_rate`` H is static and each step is one product by RK4's
-    stability polynomial in band form, O(N); the flux ring takes the staged
-    four-stage step of its phased diagonals, also O(N).
+    t_end/n_steps <= dt is then used so the final time is hit exactly.  Each
+    step, with or without ``flux_rate``, is one O(N) product by the banded
+    step matrix of :func:`_increment`.
     """
-    _check_state(spec, c0)
-    if flux_rate is None:
-        stepper = _polynomial(_spec_bands(spec))
-    else:
-        stepper = _staged(_lattice_deriv(spec, flux_rate))
-    return _evolve(stepper, c0, cfg, _dt_scale(spec, flux_rate), "the fastest scale")
+    _check_state(spec, c0, flux_rate)
+    return _evolve(
+        _spec_bands(spec), flux_rate, c0, cfg, _dt_scale(spec, flux_rate), "the fastest scale"
+    )
 
 
 def center_of_mass(state: StateVector) -> float:

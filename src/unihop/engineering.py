@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow, _polynomial
+from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -355,7 +355,7 @@ def solve_unidirectional(
 
 @dataclass(frozen=True)
 class RwaSample:
-    """One row of the RWA validation table at drive rate omega = ratio * kappa."""
+    """One row of the RWA validation table at drive rate omega = ratio * |kappa|."""
 
     ratio: float
     period: float
@@ -373,7 +373,7 @@ def rwa_validate(
 ) -> list[RwaSample]:
     """Stroboscopic comparison of the exact drive against the effective model.
 
-    For each ratio r the protocol is rescaled to period T = 2 pi / (r kappa)
+    For each ratio r the protocol is rescaled to period T = 2 pi / (r |kappa|)
     keeping (theta, x, Gamma) fixed (so alpha, beta grow as 1/T1), and the
     full equations are propagated to t_end, which must be an integer number
     of periods at every ratio.  The generator is constant on each of the four
@@ -383,9 +383,10 @@ def rwa_validate(
     it at each period boundary.  The overflow guard checks the state after
     every branch.  The result is compared against exp(-i H_eff t_end) c0
     built from :func:`effective_hopping`; the relative discrepancy decreases
-    with the drive rate as the rotating-wave limit is approached.  With
-    kappa = 0 the ratios set no scale and the protocol's own period is used
-    unscaled.
+    with the drive rate as the rotating-wave limit is approached.  The gauge
+    c_n -> (-1)^n c_n maps kappa to -kappa, so either sign is admissible.
+    With kappa = 0 the ratios set no scale and the protocol's own period is
+    used unscaled.
     """
     if int(sites) != sites or sites < 2:
         raise ValidationError("need an integer sites >= 2")
@@ -408,7 +409,7 @@ def rwa_validate(
     samples: list[RwaSample] = []
     for ratio in ratios:
         if kappa != 0.0:
-            period = 2.0 * math.pi / (ratio * kappa)
+            period = 2.0 * math.pi / (ratio * abs(kappa))
             scaled = ModulationProtocol.with_shape(
                 protocol.theta, protocol.x, protocol.gamma, period=period
             )
@@ -546,8 +547,8 @@ def laser_evolve(
 ) -> StateTrajectory:
     """RK4 integration of the laser modal equations on c0's mode window.
 
-    The generator is static, so each step is one product by RK4's stability
-    polynomial in band form.  The window has open boundaries, so results are
+    The generator is static, so each step is one product by the banded RK4
+    step matrix.  The window has open boundaries, so results are
     trustworthy only while the wavepacket stays inside: an edge monitor
     aborts (computation error) after any step that leaves more than
     ``edge_tol`` of the total weight on the two boundary modes.  Pass a wider
@@ -577,5 +578,5 @@ def laser_evolve(
                 f"t = {t:.6g} (limit {edge_tol:g}); widen the mode window"
             )
 
-    stepper = _polynomial(_laser_bands(params, *window))
-    return _evolve(stepper, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)
+    bands = _laser_bands(params, *window)
+    return _evolve(bands, None, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)

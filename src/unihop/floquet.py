@@ -11,9 +11,9 @@ one-period propagator is
 
 every quasi-energy collapses to mu = 0 and any initial state revives exactly
 once per period.  This module computes that collapse both analytically (the
-phase integral in closed form) and by RK4.  Every H(t) is circulant, so RK4
-acts on each Bloch mode as a scalar ODE and M follows from the products of
-the per-mode step factors.
+phase integral in closed form) and by RK4.  Every H(t) is circulant, so the
+banded RK4 step of :mod:`unihop.dynamics` multiplies each Bloch mode by a
+scalar factor, and M follows from the products of those factors.
 """
 
 from __future__ import annotations
@@ -25,9 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _require_resolved, _step_count
+from .dynamics import (
+    _OVERFLOW_LIMIT,
+    _dt_scale,
+    _guard_overflow,
+    _increment,
+    _require_resolved,
+    _step_count,
+)
 from .errors import ComputationError, ValidationError
-from .lattice import Geometry, LatticeSpec, _require_finite_complex
+from .lattice import Geometry, LatticeSpec, _require_finite_complex, _spec_bands
 
 __all__ = [
     "FluxDrive",
@@ -103,44 +110,46 @@ def fold_quasi_energy(mu, force: float):
 def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyReport:
     """Quasi-energies from the one-period average of the driven dispersion.
 
-    mu_l = (kappa1 / T_B) e^{-i q_l} int_0^{T_B} e^{iFt} dt with
-    q_l = 2 pi l / (N+1).  The phase integral (e^{iF T_B} - 1)/(iF) vanishes
-    identically at T_B = 2 pi / F, so every mu_l collapses to 0; the integral
-    is evaluated, not assumed.
+    mu_l = (E(q_l) / T_B) int_0^{T_B} e^{iFt} dt with q_l = 2 pi l / (N+1)
+    and E(q) = kappa1 e^{iq}, the dispersion of :func:`bloch_dispersion`, so
+    the modes come in the order of :func:`monodromy`.  The phase integral
+    (e^{iF T_B} - 1)/(iF) vanishes identically at T_B = 2 pi / F, so every
+    mu_l collapses to 0; the integral is evaluated, not assumed.
     """
     kappa1 = _require_finite_complex("kappa1", kappa1)
     t_b = drive.period
     force = drive.force
     integral = (cmath.exp(1j * force * t_b) - 1.0) / (1j * force)
     q = 2.0 * np.pi * np.arange(drive.sites) / drive.sites
-    mu = (kappa1 / t_b) * integral * np.exp(-1j * q)
+    mu = (kappa1 / t_b) * integral * np.exp(1j * q)
     return QuasiEnergyReport(mu=fold_quasi_energy(mu, force))
 
 
 def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> np.ndarray:
     """RK4 on each Bloch mode q_l = 2 pi l / N of the flux ring, from 1: Lambda_l(t_end).
 
-    Mode q obeys dy/dt = a(t) y, a(t) = -i (kappa1 e^{i(q+Ft)} + kappa2 e^{-i(q+Ft)}),
-    so a step of size h multiplies it by r = 1 + h/6 (g1 + 2 g2 + 2 g3 + g4) with
-    g1 = a(t), g2 = a(t+h/2)(1 + h/2 g1), g3 = a(t+h/2)(1 + h/2 g2) and
-    g4 = a(t+h)(1 + h g3).  The running product is taken in blocks of at most
-    2^14 step-mode entries; the overflow guard stops at the first step where a
-    |Lambda_l| passes 1e150 or is not finite.
+    The ring's cyclic diagonals are constant, so the RK4 step at t_n maps mode
+    q_l to itself with the factor 1 + sum_m Delta_m e^{im(q_l + F t_n)}, where
+    Delta_m are the diagonals of the step increment (:func:`_increment`), and
+    Lambda_l is the product of these factors over the steps.  The running
+    product is taken in blocks of at most 2^14 step-mode entries; the
+    overflow guard stops at the first step where a |Lambda_l| passes 1e150
+    or is not finite.
     """
     n_steps = _step_count(t_end, dt)
     h = t_end / n_steps
-    bloch = np.exp(2j * np.pi * np.arange(spec.dim) / spec.dim)
-    fwd, bwd = -1j * spec.kappa1 * bloch, -1j * spec.kappa2 * bloch.conj()
+    delta = _increment(_spec_bands(spec), rate, h)
+    terms = [(m, delta[m][0]) for m in sorted(delta) if np.any(delta[m])]
+    q = 2.0 * np.pi * np.arange(spec.dim) / spec.dim
     block = max(1, 2**14 // spec.dim)
     product = np.ones(spec.dim, dtype=complex)
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        phase = np.exp(0.5j * rate * h * np.arange(2 * start, 2 * stop + 1))[:, None]
-        a = fwd * phase + bwd * phase.conj()
-        g1, mid, end = a[:-1:2], a[1::2], a[2::2]
-        g2 = mid * (1.0 + 0.5 * h * g1)
-        g3 = mid * (1.0 + 0.5 * h * g2)
-        factors = 1.0 + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + end * (1.0 + h * g3))
+        ft = rate * h * np.arange(start, stop)[:, None]
+        increment = np.zeros((stop - start, spec.dim), dtype=complex)
+        for m, d in terms:
+            increment += d * np.exp(1j * m * ft) * np.exp(1j * m * q)
+        factors = 1.0 + increment
         factors[0] *= product
         with np.errstate(over="ignore", invalid="ignore"):  # the guard decides
             running = np.cumprod(factors, axis=0)

@@ -18,9 +18,10 @@ only by site n+1.  Three geometries are supported:
   decreasing n, so a window whose upper edge sits above the initial support
   is exact; the Stark diagonal uses absolute site indices.
 
-H is held as its three cyclic diagonals, and the equation of motion applies
-them in O(N) per call: static H, and the flux-threaded ring, whose Peierls
-phase is a factor e^{ikFt} on diagonal k.  The dense matrix is formed only for
+H is held as its three cyclic diagonals.  On the flux-threaded ring the
+Peierls phase is a factor e^{ikFt} on diagonal k, so one gather-and-sum of
+phased diagonals applies H(t) in O(N): :func:`rhs` applies H itself and the
+RK4 step applies its banded step matrix.  The dense matrix is formed only for
 the callers that need the whole of it.
 """
 
@@ -297,7 +298,9 @@ def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
     return HamiltonianMatrix(entries=_dense(_spec_bands(spec)), offset=spec.offset)
 
 
-def _check_state(spec: LatticeSpec, state: StateVector) -> None:
+def _check_state(spec: LatticeSpec, state: StateVector, flux_rate: float | None = None) -> None:
+    """Check that ``state`` lives on the lattice of ``spec`` and that a
+    ``flux_rate`` comes with a ring."""
     if len(state) != spec.dim:
         raise ValidationError(
             f"state length {len(state)} does not match lattice dimension {spec.dim}"
@@ -306,18 +309,8 @@ def _check_state(spec: LatticeSpec, state: StateVector) -> None:
         raise ValidationError(
             f"state offset {state.offset} does not match lattice offset {spec.offset}"
         )
-
-
-def _lattice_deriv(spec: LatticeSpec, flux_rate: float | None = None):
-    """The equation of motion as a function deriv(t, y) = -i H(t) y, O(N).
-
-    With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
-    phase, kappa1 -> kappa1 e^{iFt} and kappa2 -> kappa2 e^{-iFt}: cyclic
-    diagonal k of the banded H is multiplied by e^{ikFt}.
-    """
     if flux_rate is not None and spec.geometry is not Geometry.Ring:
         raise ValidationError("flux_rate is only defined for Ring geometry")
-    return _band_apply({k: -1j * d for k, d in _spec_bands(spec).items()}, flux_rate)
 
 
 def rhs(
@@ -331,9 +324,9 @@ def rhs(
     With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
     phase, i dc_n/dt = kappa1 e^{iFt} c_{n+1} + kappa2 e^{-iFt} c_{n-1}: the
     gauge representation of a magnetic flux ramped linearly in time through
-    the ring, and the flux-ring integrators step this derivative.  H(t) is
+    the ring, so cyclic diagonal k of H is multiplied by e^{ikFt}.  H(t) is
     applied in band form, with or without flux, so a call is O(N).
     """
-    _check_state(spec, state)
-    deriv = _lattice_deriv(spec, flux_rate)
-    return StateVector(offset=state.offset, amps=deriv(t, state.amps))
+    _check_state(spec, state, flux_rate)
+    h_y = _band_apply(_spec_bands(spec), flux_rate)(t, state.amps)
+    return StateVector(offset=state.offset, amps=-1j * h_y)

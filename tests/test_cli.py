@@ -380,6 +380,20 @@ class TestRwaCommand:
         assert int(fields[2]) == 5
         assert "strictly_decreasing=True" in out
 
+    def test_negative_kappa_runs(self, capsys, tmp_path):
+        code, out, _ = run(
+            [
+                "rwa", "--theta", "1.5707963267948966", "--x", "0.8",
+                "--gamma", "3.0017822918018364+0.6994075768635631i",
+                "--ratios", "5", "--sites", "6", "--kappa", "-1", "--output", "rwa.csv",
+            ],
+            capsys,
+        )
+        assert code == 0
+        fields = (tmp_path / "rwa.csv").read_text().splitlines()[1].split(",")
+        assert int(fields[2]) == 5
+        assert "strictly_decreasing=True" in out
+
     def test_site_default_is_center(self, capsys, tmp_path):
         code, _, _ = run(
             [

@@ -294,15 +294,16 @@ def _tridiagonal_reference(dim, upper, lower, diag=0, wrap=False):
     return h
 
 
-def _staged_dense_step(h_dense, h, y):
-    """Reference: one four-stage RK4 step of dc/dt = -i H c with dense H."""
-    def deriv(v):
-        return -1j * (h_dense @ v)
+def _staged_dense_step(h_dense, t, h, y):
+    """Reference: one four-stage RK4 step from t of dc/dt = -i H(t) c with
+    the dense H(t) = h_dense(t)."""
+    def deriv(s, v):
+        return -1j * (h_dense(s) @ v)
 
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * h * k1)
-    k3 = deriv(y + 0.5 * h * k2)
-    k4 = deriv(y + h * k3)
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = deriv(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -323,31 +324,60 @@ _LASER = LaserParams(
 )
 
 
+def _flux_ring(sites, force=0.0):
+    return LatticeSpec(
+        geometry=Geometry.Ring, kappa1=0.8 - 0.6j, kappa2=0.3 + 0.2j, force=force, sites=sites
+    )
+
+
 class TestBandedStep:
-    """A static RK4 step is one product by the stability polynomial in band form."""
+    """Every RK4 step is one product by the banded step matrix I + Delta."""
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, rate",
         [
-            chain(9, kappa1=1.3),
-            _window((-7, 5), kappa1=0.8 - 0.6j, force=0.6),
-            _window((-7, 5), kappa1=0.8 - 0.6j, force=-0.6),
-            LatticeSpec(geometry=Geometry.Ring, kappa1=1 - 2j, kappa2=0.3, force=-0.5, sites=2),
-            LatticeSpec(geometry=Geometry.Ring, kappa1=0.7j, kappa2=1.1, force=0.2, sites=3),
-            chain(7, kappa1=0.9 + 0.4j, kappa2=-0.3 + 0.5j, force=0.25),
+            (chain(9, kappa1=1.3), None),
+            (_window((-7, 5), kappa1=0.8 - 0.6j, force=0.6), None),
+            (_window((-7, 5), kappa1=0.8 - 0.6j, force=-0.6), None),
+            (LatticeSpec(geometry=Geometry.Ring, kappa1=1 - 2j, kappa2=0.3, force=-0.5, sites=2),
+             None),
+            (LatticeSpec(geometry=Geometry.Ring, kappa1=0.7j, kappa2=1.1, force=0.2, sites=3),
+             None),
+            (chain(7, kappa1=0.9 + 0.4j, kappa2=-0.3 + 0.5j, force=0.25), None),
+            (_flux_ring(2), 0.9),
+            (_flux_ring(3), -0.7),
+            (_flux_ring(7), 1.1),
+            (_flux_ring(7), -1.1),
+            (_flux_ring(7, force=0.3), -0.8),
         ],
-        ids=["chain", "window-F+", "window-F-", "ring2", "ring3", "complex-kappa2"],
+        ids=[
+            "chain", "window-F+", "window-F-", "ring2", "ring3", "complex-kappa2",
+            "flux-ring2-F+", "flux-ring3-F-", "flux-ring7-F+", "flux-ring7-F-",
+            "flux-ring7-stark",
+        ],
     )
-    def test_one_step_matches_staged_dense_step(self, spec):
+    def test_one_step_matches_staged_dense_step(self, spec, rate):
+        # a static H is checked on one step; a flux ring on three, so the
+        # steps at t > 0 carry their Peierls phases
         ring_ = spec.geometry is Geometry.Ring
-        h_dense = _tridiagonal_reference(
-            spec.dim, spec.kappa1, spec.kappa2, diag=spec.force * spec.site_indices, wrap=ring_
-        )
+        stark = spec.force * spec.site_indices
+
+        def h_dense(t):
+            phase = np.exp(1j * (rate or 0.0) * t)
+            return _tridiagonal_reference(
+                spec.dim, spec.kappa1 * phase, spec.kappa2 / phase, diag=stark, wrap=ring_
+            )
+
         c0 = _random_state(spec.offset, spec.dim, seed=spec.dim)
         extent = max(spec.dim, np.abs(spec.site_indices).max())
-        h = 0.04 / max(abs(spec.kappa1), abs(spec.kappa2), abs(spec.force) * extent)
-        got = evolve_rk4(spec, c0, EvolveConfig(t_end=h, dt=h)).amps[-1]
-        want = _staged_dense_step(h_dense, h, np.asarray(c0.amps))
+        scale = max(abs(spec.kappa1), abs(spec.kappa2), abs(spec.force) * extent)
+        h = 0.04 / max(scale, abs(rate or 0.0))
+        steps = 1 if rate is None else 3
+        cfg = EvolveConfig(t_end=steps * h, dt=h)
+        got = evolve_rk4(spec, c0, cfg, flux_rate=rate).amps[-1]
+        want = np.asarray(c0.amps)
+        for n in range(steps):
+            want = _staged_dense_step(h_dense, n * h, h, want)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_laser_step_matches_staged_dense_step(self):
@@ -364,7 +394,7 @@ class TestBandedStep:
         h = 0.04 / max(abs(couplings.forward), abs(_LASER.detuning) * n.size, _LASER.dg * 8**2)
         # edge_tol = 1 disarms the monitor: a random state has weight on the edges
         got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=1.0).amps[-1]
-        want = _staged_dense_step(h_dense, h, np.asarray(c0.amps))
+        want = _staged_dense_step(lambda t: h_dense, 0.0, h, np.asarray(c0.amps))
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_sites_above_support_stay_exactly_zero(self):

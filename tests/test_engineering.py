@@ -309,6 +309,19 @@ class TestRwaValidate:
         with pytest.raises(OverflowAbort):
             rwa_validate(p, 0.0, [5.0], sites=4, c0=c0, t_end=1.0)
 
+    @pytest.mark.parametrize("theta", [np.pi / 2, 1.3])
+    def test_negative_kappa_is_the_staggered_gauge(self, theta):
+        # c_n -> (-1)^n c_n maps kappa to -kappa and fixes a single-site state
+        p = ModulationProtocol.with_shape(theta, 0.8, GAMMA_STAR)
+        c0 = StateVector(offset=0, amps=np.eye(8, dtype=complex)[3])
+        t_end = 2 * np.pi / 1.3
+        plus = rwa_validate(p, 1.3, [5.0, 10.0], sites=8, c0=c0, t_end=t_end)
+        minus = rwa_validate(p, -1.3, [5.0, 10.0], sites=8, c0=c0, t_end=t_end)
+        for a, b in zip(plus, minus):
+            assert b.period == a.period > 0
+            assert b.periods == a.periods
+            assert b.discrepancy == pytest.approx(a.discrepancy, rel=1e-12, abs=0)
+
     def test_trivial_protocol_reduces_to_bare_hopping(self):
         p = ModulationProtocol.with_shape(0.0, 0.5, 0j, period=1.0)
         c0 = StateVector(offset=0, amps=np.array([0, 0, 1, 0, 0, 0], dtype=complex))

@@ -15,17 +15,18 @@ from unihop import (
     LatticeSpec,
     OverflowAbort,
     ValidationError,
+    StateVector,
+    bloch_dispersion,
     evolve_rk4,
     fold_quasi_energy,
     hop_parts,
     monodromy,
     quasi_energies_analytic,
     revival_error,
+    rhs,
     single_site_state,
 )
-from unihop.dynamics import _integrate_rk4, _staged
 from unihop.floquet import _bloch_products
-from unihop.lattice import _lattice_deriv
 
 
 def ring(sites, kappa1=1.0, kappa2=0j):
@@ -89,6 +90,17 @@ class TestAnalyticQuasiEnergies:
         assert np.max(np.abs(report.mu)) <= 1e-12 * abs(drive.force)
         assert report.monodromy is None
         assert report.monodromy_defect is None
+
+    def test_modes_follow_the_bloch_dispersion(self):
+        drive = FluxDrive(phi0_rate=1.0, sites=8)
+        kappa1 = 1.3 * np.exp(0.7j)
+        force = drive.force
+        integral = (np.exp(1j * force * drive.period) - 1.0) / (1j * force)
+        assert integral != 0  # roundoff leaves a phase integral that shows the order
+        q = 2.0 * np.pi * np.arange(8) / 8
+        want = [integral / drive.period * s.energy for s in bloch_dispersion(kappa1, q)]
+        got = quasi_energies_analytic(kappa1, drive).mu
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_hopping_is_exactly_zero(self):
         drive = FluxDrive(phi0_rate=2.0, sites=5)
@@ -252,17 +264,28 @@ class TestCirculantMonodromy:
         spec = ring(sites, kappa1=1.6 - 1.2j, kappa2=0.5 + 0.4j)
         t_end, dt = drive.period / 3.0, 0.01
         column = np.fft.ifft(_bloch_products(spec, drive.force, t_end, dt))
-        _, states, _ = _integrate_rk4(
-            _staged(_lattice_deriv(spec, drive.force)),
-            single_site_state(spec, 0).amps,
-            t_end,
-            dt,
-            record_every=10**9,
-            renormalize=False,
-        )
-        scale = np.max(np.abs(states[-1]))
-        assert np.max(np.abs(column - states[-1])) <= 1e-12 * scale
+        want = _staged_column(spec, drive.force, t_end, math.ceil(t_end / dt))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(column - want)) <= 1e-12 * scale
         assert np.max(np.abs(scipy.linalg.circulant(column) - np.eye(sites))) > 0.5
+
+
+def _staged_column(spec, rate, t_end, n_steps):
+    """Reference: the four RK4 stages over the public ``rhs``, from site 0."""
+
+    def deriv(t, y):
+        return np.asarray(rhs(spec, t, StateVector(offset=0, amps=y), flux_rate=rate).amps)
+
+    h = t_end / n_steps
+    y = np.asarray(single_site_state(spec, 0).amps)
+    for step in range(n_steps):
+        t = step * h
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def _dense_flux_monodromy(spec, drive, n_steps):
