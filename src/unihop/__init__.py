@@ -51,11 +51,9 @@ from .spectral import (
 from .dynamics import (
     EvolveConfig,
     StateTrajectory,
-    center_of_mass,
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
-    propagator_entry_unidirectional,
     revival_error,
     single_site_state,
 )

@@ -78,9 +78,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _canon(name: str, kind, value):
-    """Normalize a flag/config value to its canonical JSON-able form."""
+    """Normalize a flag/config value to its canonical JSON-able form.  Config
+    values are checked, not coerced: only a bool is a bool, and ints are integral."""
     if value is None:
         return None
+    items = value if isinstance(value, list) else [value]
+    if kind == "bool" and not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    if kind != "bool" and any(isinstance(v, bool) for v in items):
+        raise ValidationError(f"{name} must not be a bool, got {value!r}")
+    if kind in ("int", "ints2") and any(
+        isinstance(v, float) and not v.is_integer() for v in items
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         if isinstance(kind, tuple) and kind[0] == "choice":
             value = str(value)
@@ -96,7 +106,7 @@ def _canon(name: str, kind, value):
         if kind == "int":
             return int(value)
         if kind == "bool":
-            return bool(value)
+            return value
         if kind == "ints2":
             seq = [int(v) for v in value]
             if len(seq) != 2:

@@ -1,15 +1,17 @@
 """Time evolution: exact kernels for the unidirectional lattice, fixed-step
 RK4 for everything else, and Bloch-oscillation observables.
 
-For kappa2 = 0 and F = 0 the propagator is known in closed form,
+For kappa2 = 0 the chain propagator is known in closed form at any force F,
 
-    U_{n,l}(t) = (-i kappa1 t)^{l-n} / (l-n)!   for l >= n,  0 otherwise,
+    U_{n,l}(t) = e^{-iFnt} z^{l-n} / (l-n)!   for l >= n,  0 otherwise,
 
-an upper-triangular Toeplitz kernel: amplitude injected at site l spreads
-only toward decreasing n, with secular growth |kappa1 t|^j / j! instead of
-the dispersive decay of a Hermitian lattice.  On a ring the kernel is the
-discrete Bloch sum U_{n,l}(t) = (N+1)^{-1} sum_k exp[i q_k (n-l) - i E(q_k) t]
-with E(q) = kappa1 e^{iq}, evaluated here by FFT.
+with z = -i kappa1 Phi(t) and Phi(t) = int_0^t e^{-iFs} ds (Phi = t at F = 0):
+the gauge c_n = e^{-iFnt} a_n leaves the hopping kappa1 e^{-iFt}, whose values
+commute, so the first Magnus term is exact.  Amplitude injected at site l
+spreads only toward decreasing n, and Phi(T_B) = 0 revives it exactly.  On a
+ring (F = 0 only: a Stark term is not circulant) the kernel is the discrete
+Bloch sum U_{n,l}(t) = (N+1)^{-1} sum_k exp[i q_k (n-l) - i E(q_k) t] with
+E(q) = kappa1 e^{iq}, evaluated here by FFT.
 
 The RK4 path integrates dc/dt = -i H(t) c with a uniform step chosen to land
 exactly on t_end (and hence exactly on Bloch-period multiples when dt divides
@@ -46,10 +48,8 @@ from .lattice import (
 __all__ = [
     "EvolveConfig",
     "StateTrajectory",
-    "propagator_entry_unidirectional",
     "evolve_closed_form",
     "evolve_rk4",
-    "center_of_mass",
     "revival_error",
     "single_site_state",
     "gaussian_state",
@@ -128,13 +128,6 @@ class StateTrajectory:
         return self.times.size
 
     @property
-    def states(self) -> list[StateVector]:
-        return [StateVector(offset=self.offset, amps=row) for row in self.amps]
-
-    def state(self, i: int) -> StateVector:
-        return StateVector(offset=self.offset, amps=self.amps[i])
-
-    @property
     def site_indices(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + self.amps.shape[1])
 
@@ -186,19 +179,16 @@ def _guard_overflow(amps: np.ndarray, t: float, remedy: str) -> None:
         raise OverflowAbort(f"amplitude overflow (max|c| > 1e150) at t = {t:.6g}; {remedy}")
 
 
-def propagator_entry_unidirectional(kappa1: complex, t: float, n: int, l: int) -> complex:
-    """Matrix element U_{n,l}(t) = (-i kappa1 t)^{l-n} / (l-n)! (0 for l < n).
-
-    An entry beyond the floating-point range raises :class:`OverflowAbort`.
-    """
-    if l < n:
-        return 0j
-    if l == n:
-        return 1.0 + 0j  # the diagonal is exactly 1, as in the chain kernel
-    value = complex(_factorial_powers(-1j * complex(kappa1) * t, l - n))
-    if not cmath.isfinite(value):
-        raise OverflowAbort(f"propagator entry U_{{{n},{l}}}({t:.6g}) overflows")
-    return value
+def _distance(amps: np.ndarray, reference: np.ndarray, renormalized: bool) -> np.ndarray:
+    """The ``revival`` distance of each row c of ``amps`` from c0 = ``reference``:
+    ||c - c0|| / ||c0||, or with ``renormalized`` the projective infidelity
+    1 - |<c0|c>| / (|c0||c|), taken as 1 for a zero row."""
+    ref_norm = float(np.linalg.norm(reference))
+    if renormalized:
+        overlaps = np.abs(amps @ reference.conj())
+        norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1)) * ref_norm
+        return 1.0 - np.where(norms > 0, overlaps / norms, 0.0)
+    return np.linalg.norm(amps - reference[None, :], axis=1) / ref_norm
 
 
 def _observables(
@@ -213,13 +203,6 @@ def _observables(
     weight = np.sum(np.abs(amps) ** 2, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         com = np.where(weight > 0, (np.abs(amps) ** 2) @ sites / weight, np.nan)
-    ref_norm = float(np.linalg.norm(reference))
-    if renormalized:
-        overlaps = np.abs(amps @ reference.conj())
-        norms = np.sqrt(weight) * ref_norm
-        revival = 1.0 - np.where(norms > 0, overlaps / norms, 0.0)
-    else:
-        revival = np.linalg.norm(amps - reference[None, :], axis=1) / ref_norm
     if log_scale is None:
         log_scale = np.zeros(times.size)
     return StateTrajectory(
@@ -228,26 +211,30 @@ def _observables(
         offset=offset,
         com=com,
         weight=weight,
-        revival=revival,
+        revival=_distance(amps, reference, renormalized),
         log_scale=log_scale,
         renormalized=renormalized,
     )
 
 
 def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajectory:
-    """Exact evolution of the free unidirectional lattice (kappa2 = 0, F = 0).
+    """Exact evolution of the unidirectional lattice (kappa2 = 0).
 
-    Chain geometries apply the triangular factorial kernel as a convolution
-    over the initial support and the kernel's nonzero terms, so no N x N
-    matrix is formed (site 0 truncates the flow; sites above the initial
-    support stay exactly zero).  The ring applies the discrete Bloch kernel
-    via FFT.  As for RK4, growth beyond max|c| > 1e150 at any requested time
-    aborts with :class:`OverflowAbort`.
+    Chains and windows take any force F.  They apply the triangular factorial
+    kernel at z = -i kappa1 Phi(t) as a convolution over the initial support
+    and the kernel's nonzero terms, so no N x N matrix is formed (site 0
+    truncates the flow; sites above the initial support stay exactly zero),
+    then the gauge e^{-iFnt} on absolute sites n.  Phi is evaluated as
+    (2/F) sin(Ft/2) e^{-iFt/2}, accurate as F -> 0, and is exactly t at F = 0.
+    The ring (F = 0 only) applies the discrete Bloch kernel via FFT.  As for
+    RK4, growth beyond max|c| > 1e150 at any requested time aborts with
+    :class:`OverflowAbort`.
     """
     if spec.kappa2 != 0j:
         raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
-    if spec.force != 0.0:
-        raise ValidationError("closed form requires F = 0; use evolve_rk4")
+    force = spec.force
+    if force != 0.0 and spec.geometry is Geometry.Ring:
+        raise ValidationError("closed form on a ring requires F = 0; use evolve_rk4")
     _check_state(spec, c0)
     if c0.norm() == 0.0:
         raise ValidationError("initial state must be nonzero")
@@ -267,16 +254,22 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
             for i, t in enumerate(t_arr):
                 out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))
         else:
-            # c_n(t) = sum_j u_j c0_{n+j} with u_j = (-i kappa1 t)^j / j!; only
+            # c_n(t) = e^{-iFnt} sum_j u_j c0_{n+j} with u_j = z^j / j!; only
             # sites up to the top of the initial support [lo, hi] are reached
             support = np.flatnonzero(c0.amps)
             lo, hi = int(support[0]), int(support[-1])
             reversed_support = c0.amps[lo : hi + 1][::-1]
-            for i, t in enumerate(t_arr):
-                u = _factorial_powers(-1j * spec.kappa1 * float(t), np.arange(hi + 1))
+            phis = t_arr  # Phi(t), in the half-angle form for F != 0
+            if force != 0.0:
+                phis = 2.0 / force * np.sin(0.5 * force * t_arr) * np.exp(-0.5j * force * t_arr)
+            for i, (t, phi) in enumerate(zip(t_arr, phis)):
+                u = _factorial_powers(-1j * spec.kappa1 * phi, np.arange(hi + 1))
                 u = u[: np.flatnonzero(u)[-1] + 1]
-                row = np.convolve(reversed_support, u)[: hi + 1]  # row[s] is site hi - s
-                out[i, hi + 1 - row.size : hi + 1] = row[::-1]
+                row = np.convolve(reversed_support, u)[: hi + 1][::-1]  # sites hi+1-size..hi
+                reached = slice(hi + 1 - row.size, hi + 1)
+                if force != 0.0:
+                    row = row * np.exp(-1j * force * t * spec.site_indices[reached])
+                out[i, reached] = row
     for t, row in zip(t_arr, out):
         _guard_overflow(row, t, _RENORMALIZE)
     return _observables(t_arr, out, spec.offset, np.asarray(c0.amps), None, False)
@@ -413,15 +406,6 @@ def evolve_rk4(
     )
 
 
-def center_of_mass(state: StateVector) -> float:
-    """Wavepacket center <n> = sum_n n |c_n|^2 / sum_n |c_n|^2 (absolute sites)."""
-    weights = np.abs(state.amps) ** 2
-    total = float(weights.sum())
-    if total == 0.0:
-        raise ValidationError("center of mass undefined for a zero-norm state")
-    return float(weights @ state.site_indices.astype(float) / total)
-
-
 def _interp_state(traj: StateTrajectory, t: float) -> np.ndarray:
     times = traj.times
     if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
@@ -439,24 +423,15 @@ def _interp_state(traj: StateTrajectory, t: float) -> np.ndarray:
 
 
 def revival_error(traj: StateTrajectory, period: float) -> float:
-    """Distance between the state at t = period and at t = 0.
-
-    Returns ||c(period) - c(0)|| / ||c(0)|| from the nearest recorded states
-    (linear interpolation between records when the period falls between
-    them).  For a renormalized trajectory the projective infidelity
-    1 - |<c(0)|c(period)>|/(|c(0)||c(period)|) is returned instead, since raw
-    amplitudes are no longer comparable across times.
+    """The ``revival`` observable at t = period: ||c(period) - c(0)|| / ||c(0)||,
+    or for a renormalized trajectory, whose raw amplitudes are not comparable
+    across times, the projective infidelity 1 - |<c(0)|c(period)>| /
+    (|c(0)||c(period)|).  Between records the states are interpolated linearly.
     """
     if not (math.isfinite(period) and period > 0):
         raise ValidationError("period must be positive and finite")
     start = _interp_state(traj, 0.0)
-    end = _interp_state(traj, period)
-    n0 = float(np.linalg.norm(start))
-    if n0 == 0.0:
+    if not np.any(start):
         raise ValidationError("revival undefined for a zero initial state")
-    if traj.renormalized:
-        n1 = float(np.linalg.norm(end))
-        if n1 == 0.0:
-            raise ValidationError("revival undefined for a zero final state")
-        return 1.0 - abs(np.vdot(start, end)) / (n0 * n1)
-    return float(np.linalg.norm(end - start) / n0)
+    end = _interp_state(traj, period)
+    return float(_distance(end[None, :], start, traj.renormalized)[0])

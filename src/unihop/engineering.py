@@ -317,12 +317,12 @@ def solve_unidirectional(
         raise ValidationError("gamma_guess must be finite")
 
     def f(g: complex) -> complex:
-        return x * _csinc(g) + (1.0 - x) * cmath.exp(1j * theta)
+        return _closed_form_hopping(theta, x, g, 1.0).sigma
 
     residual = abs(f(gamma))
     for iteration in range(1, max_iterations + 1):
         if residual < tol:
-            rho = x * _csinc(gamma) + (1.0 - x) * cmath.exp(-1j * theta)
+            rho = _closed_form_hopping(theta, x, gamma, 1.0).rho
             return UnidirectionalRoot(
                 gamma=gamma, rho=rho, residual=residual, iterations=iteration - 1
             )
@@ -551,9 +551,11 @@ def laser_evolve(
     step matrix.  The window has open boundaries, so results are
     trustworthy only while the wavepacket stays inside: an edge monitor
     aborts (computation error) after any step that leaves more than
-    ``edge_tol`` of the total weight on the two boundary modes.  Pass a wider
-    initial window rather than loosening the monitor.
+    ``edge_tol`` of the total weight on the two boundary modes; it must lie
+    in (0, 1).  Pass a wider initial window rather than loosening the monitor.
     """
+    if not 0.0 < edge_tol < 1.0:  # NaN fails too, and would switch the monitor off
+        raise ValidationError(f"edge_tol must lie in (0, 1), got {edge_tol!r}")
     if len(c0) < 2:
         raise ValidationError("the mode window must span at least 2 modes")
     window = (c0.offset, c0.offset + len(c0) - 1)

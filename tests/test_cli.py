@@ -201,6 +201,19 @@ class TestEvolveCommand:
             zb = complex(float(fb[2]), float(fb[3]))
             assert abs(za - zb) < 1e-8
 
+    def test_forced_chain_closed_form_revives(self, capsys, tmp_path):
+        # one Bloch period of the README forced chain, F = -0.6
+        code, _, _ = run(
+            [
+                "evolve", "--geometry", "chain", "--sites", "16", "--force", "-0.6",
+                "--method", "closed", "--t-end", "10.471975511965978",
+            ],
+            capsys,
+        )
+        assert code == 0
+        last = (tmp_path / "evolve_observables.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[3]) <= 1e-13
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         argv = [
             "evolve", "--geometry", "chain", "--sites", "4", "--site", "3",
@@ -246,6 +259,41 @@ class TestConfigHandling:
         orig = (tmp_path / "orig_trajectory.csv").read_bytes()
         redo = (tmp_path / "redo_trajectory.csv").read_bytes()
         assert orig == redo
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sites", 16.9), ("renormalize", "false"), ("sites", True),
+            ("force", True), ("kappa1", [True, 0.0]), ("window", [-3.5, 4]),
+        ],
+        ids=["fractional-int", "string-bool", "bool-int", "bool-float", "bool-complex",
+             "fractional-ints2"],
+    )
+    def test_config_values_are_type_checked(self, capsys, tmp_path, key, value):
+        # each of these used to be coerced (16.9 -> 16, "false" -> true, true -> 1)
+        config = {"geometry": "chain", "sites": 16, "t_end": 1.0, key: value}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, _, err = run(["evolve", "--config", "c.json", "--dump-config", "d.json"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--geometry", "infinite", "--window", "-12", "5", "--force", "-0.6",
+             "--kappa1", "0.8-0.5i", "--initial", "gaussian", "--t-end", "2",
+             "--dt", "0.01", "--renormalize"],
+            ["rwa", "--theta", "1.5707963267948966", "--x", "0.8", "--gamma", "3+0.7i",
+             "--ratios", "5,10"],
+        ],
+        ids=["evolve", "rwa"],
+    )
+    def test_dumped_config_reloads_to_the_same_bytes(self, capsys, tmp_path, argv):
+        assert run(argv + ["--dump-config", "first.json"], capsys)[0] == 0
+        reload = [argv[0], "--config", "first.json", "--dump-config", "second.json"]
+        assert run(reload, capsys)[0] == 0
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         (tmp_path / "c.json").write_text(json.dumps({"geometry": "chain", "bogus": 1}))
@@ -485,6 +533,22 @@ class TestLaserCommand:
         )
         assert code == 3
         assert "widen the mode window" in err
+
+
+    @pytest.mark.parametrize("edge_tol", ["nan", "-1"])
+    def test_edge_tol_outside_unit_interval_is_a_validation_error(self, capsys, edge_tol):
+        code, _, err = run(
+            [
+                "laser", "--delta-am", "0.5", "--delta-fm", "0.5",
+                "--phi", "-1.5707963267948966", "--detuning", "-0.6",
+                "--n-min", "-3", "--n-max", "3", "--initial", "gaussian",
+                "--t-end", "5", "--dt", "0.002", "--edge-tol", edge_tol,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "edge_tol must lie in (0, 1)" in err
 
 
 class TestDumpHCommand:

@@ -18,14 +18,12 @@ from unihop import (
     StateVector,
     ValidationError,
     build_hamiltonian,
-    center_of_mass,
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
     laser_effective_couplings,
     laser_evolve,
     monodromy,
-    propagator_entry_unidirectional,
     revival_error,
     rhs,
     single_site_state,
@@ -42,41 +40,57 @@ def ring(sites, kappa1=1.0):
     return LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, sites=sites)
 
 
+def _window(window, kappa1=1.0, kappa2=0j, force=0.0):
+    return LatticeSpec(
+        geometry=Geometry.InfiniteChain, kappa1=kappa1, kappa2=kappa2, force=force,
+        window=window,
+    )
+
+
+def _random_state(offset, dim, seed):
+    rng = np.random.default_rng(seed)
+    return StateVector(offset=offset, amps=rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def _column(kappa1, t, l, sites=None):
+    """Column l of U(t) on a chain: the closed form from a unit excitation at l."""
+    spec = chain(sites or l + 1, kappa1=kappa1)
+    return evolve_closed_form(spec, single_site_state(spec, l), [t]).amps[0]
+
+
 class TestPropagatorEntry:
+    """Entries U_{n,l}(t) = (-i kappa1 t)^{l-n} / (l-n)!, read off closed-form columns."""
+
     def test_reference_values(self):
-        assert propagator_entry_unidirectional(1.0, 1.0, 0, 0) == 1.0
-        assert propagator_entry_unidirectional(1.0, 1.0, 0, 1) == pytest.approx(-1j)
-        assert propagator_entry_unidirectional(1.0, 1.0, 0, 2) == pytest.approx(-0.5)
-        assert propagator_entry_unidirectional(2.0, 1.0, 0, 3) == pytest.approx(4j / 3)
+        u = _column(1.0, 1.0, 2)
+        assert u[2] == 1.0
+        assert u[1] == pytest.approx(-1j)
+        assert u[0] == pytest.approx(-0.5)
+        assert _column(2.0, 1.0, 3)[0] == pytest.approx(4j / 3)
 
     def test_identity_at_t_zero(self):
-        assert propagator_entry_unidirectional(1.3 - 0.2j, 0.0, 2, 2) == 1.0
-        assert propagator_entry_unidirectional(1.3 - 0.2j, 0.0, 0, 5) == 0j
+        assert np.array_equal(_column(1.3 - 0.2j, 0.0, 5, sites=8), np.eye(8)[5])
 
     def test_strictly_causal(self):
-        assert propagator_entry_unidirectional(1.0, 2.0, 3, 1) == 0j
+        u = _column(1.0, 2.0, 1, sites=5)
+        assert np.all(u[2:] == 0.0) and np.all(u[:2] != 0.0)
 
     def test_overflowing_entry_aborts(self):
         with pytest.raises(OverflowAbort):
-            propagator_entry_unidirectional(1e6, 1.0, 0, 100)
+            _column(1e6, 1.0, 100)
 
     def test_large_separation_is_finite(self):
-        u = propagator_entry_unidirectional(1.0, 1.0, 0, 300)
-        assert np.isfinite(u.real) and np.isfinite(u.imag)
-        assert abs(u) < 1e-300 or abs(u) == 0.0
+        u = _column(1.0, 1.0, 300)
+        assert np.all(np.isfinite(u))
+        assert abs(u[0]) < 1e-300 or abs(u[0]) == 0.0
 
     def test_matches_matrix_exponential(self):
         spec = chain(30, kappa1=0.9 - 0.4j)
         t = 2.0
         h = build_hamiltonian(spec).entries
         dense = expm(-1j * h * t)
-        entrywise = np.array(
-            [
-                [propagator_entry_unidirectional(spec.kappa1, t, n, l) for l in range(30)]
-                for n in range(30)
-            ]
-        )
-        assert np.max(np.abs(dense - entrywise)) <= 1e-12
+        columns = np.array([_column(spec.kappa1, t, l, sites=30) for l in range(30)]).T
+        assert np.max(np.abs(dense - columns)) <= 1e-12
 
 
 class TestClosedForm:
@@ -152,8 +166,9 @@ class TestClosedForm:
         c0 = single_site_state(spec, 3)
         with pytest.raises(ValidationError):
             evolve_closed_form(chain(4, kappa2=0.2), c0, [1.0])
-        with pytest.raises(ValidationError):
-            evolve_closed_form(chain(4, force=0.5), c0, [1.0])
+        forced_ring = LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, force=0.5, sites=4)
+        with pytest.raises(ValidationError, match="ring requires F = 0"):
+            evolve_closed_form(forced_ring, c0, [1.0])
         with pytest.raises(ValidationError):
             evolve_closed_form(spec, c0, [1.0, 0.5])
         with pytest.raises(ValidationError):
@@ -162,6 +177,40 @@ class TestClosedForm:
             evolve_closed_form(spec, StateVector(offset=0, amps=np.zeros(4)), [1.0])
         with pytest.raises(ValidationError):
             evolve_closed_form(spec, c0, [np.inf])
+
+    @pytest.mark.parametrize("force", [0.7, -1.3, 1e-9])
+    @pytest.mark.parametrize("geometry", ["chain", "window"])
+    def test_forced_matches_matrix_exponential(self, geometry, force):
+        # F = 1e-9 guards the half-angle form of Phi: (1 - e^{-iFt}) / (iF)
+        # loses about 1e-9 of relative accuracy there
+        kappa1 = 0.8 - 0.5j
+        if geometry == "chain":
+            spec = chain(14, kappa1=kappa1, force=force)
+        else:
+            spec = _window((-12, 5), kappa1=kappa1, force=force)
+        c0 = _random_state(spec.offset, spec.dim, seed=spec.dim)
+        times = [0.0, 0.3, 1.7, 4.0]
+        traj = evolve_closed_form(spec, c0, times)
+        h = build_hamiltonian(spec).entries
+        for t, row in zip(times, traj.amps):
+            want = expm(-1j * h * t) @ np.asarray(c0.amps)
+            assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "spec, center",
+        [(chain(16, kappa1=np.exp(0.3j), force=-0.6), 7.5),
+         (_window((-40, 20), kappa1=np.exp(0.3j), force=-0.6), 0.0)],
+        ids=["chain", "window"],
+    )
+    def test_forced_revival_matches_rk4(self, spec, center):
+        # the README forced point: one Bloch period at dt = T_B / 10^4
+        t_b = 2.0 * np.pi / 0.6
+        c0 = gaussian_state(spec, center=center, width=3.0)
+        rk4 = evolve_rk4(spec, c0, EvolveConfig(t_end=t_b, dt=t_b / 10_000, record_every=500))
+        exact = evolve_closed_form(spec, c0, rk4.times)
+        assert exact.revival[-1] <= 1e-13
+        dev = np.linalg.norm(rk4.amps - exact.amps, axis=1) / np.linalg.norm(exact.amps, axis=1)
+        assert np.max(dev) <= 1e-9
 
     @pytest.mark.parametrize("spec", [chain(400), ring(400)], ids=["chain", "ring"])
     def test_overflow_aborts(self, spec):
@@ -307,18 +356,6 @@ def _staged_dense_step(h_dense, t, h, y):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _random_state(offset, dim, seed):
-    rng = np.random.default_rng(seed)
-    return StateVector(offset=offset, amps=rng.normal(size=dim) + 1j * rng.normal(size=dim))
-
-
-def _window(window, kappa1=1.0, kappa2=0j, force=0.0):
-    return LatticeSpec(
-        geometry=Geometry.InfiniteChain, kappa1=kappa1, kappa2=kappa2, force=force,
-        window=window,
-    )
-
-
 _LASER = LaserParams(
     gain=0.3, loss=0.1, dg=0.02, delta_am=0.4, delta_fm=0.7, phi=0.9, detuning=-0.5
 )
@@ -392,8 +429,8 @@ class TestBandedStep:
         h_dense = _tridiagonal_reference(n.size, couplings.forward, couplings.backward, diag=onsite)
         c0 = _random_state(window[0], n.size, seed=3)
         h = 0.04 / max(abs(couplings.forward), abs(_LASER.detuning) * n.size, _LASER.dg * 8**2)
-        # edge_tol = 1 disarms the monitor: a random state has weight on the edges
-        got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=1.0).amps[-1]
+        # a random state holds weight on the edge modes, so the monitor is set loose
+        got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=0.5).amps[-1]
         want = _staged_dense_step(lambda t: h_dense, 0.0, h, np.asarray(c0.amps))
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -528,18 +565,24 @@ def test_step_rule_boundary(run, scale):
 
 
 class TestObservables:
+    @staticmethod
+    def _com(offset, amps):
+        """The ``com`` observable of a t_end = 0 trajectory from the state."""
+        spec = _window((offset, offset + len(amps) - 1))
+        c0 = StateVector(offset=offset, amps=amps)
+        return evolve_rk4(spec, c0, EvolveConfig(t_end=0.0, dt=1.0)).com[0]
+
     def test_center_of_mass_examples(self):
-        spec = chain(8)
-        assert center_of_mass(single_site_state(spec, 5)) == 5.0
-        assert center_of_mass(StateVector(offset=0, amps=[1.0, 1.0])) == 0.5
-        assert center_of_mass(StateVector(offset=0, amps=[1.0, 2.0, 1.0])) == pytest.approx(1.0)
+        assert self._com(0, np.eye(8)[5]) == 5.0
+        assert self._com(0, [1.0, 1.0]) == 0.5
+        assert self._com(0, [1.0, 2.0, 1.0]) == pytest.approx(1.0)
 
     def test_center_of_mass_uses_absolute_sites(self):
-        assert center_of_mass(StateVector(offset=-3, amps=[1.0, 1.0])) == -2.5
+        assert self._com(-3, [1.0, 1.0]) == -2.5
 
     def test_center_of_mass_zero_state(self):
-        with pytest.raises(ValidationError):
-            center_of_mass(StateVector(offset=0, amps=[0.0, 0.0]))
+        with pytest.raises(ValidationError, match="nonzero"):
+            self._com(0, [0.0, 0.0])
 
     def test_revival_error_exact_zero_and_interp(self):
         spec = chain(4)

@@ -468,6 +468,18 @@ class TestLaserMapping:
         with pytest.raises(EdgeLeakError):
             laser_evolve(params, c0, EvolveConfig(t_end=3.0, dt=0.01))
 
+    @pytest.mark.parametrize("edge_tol", [np.nan, np.inf, -1.0, 0.0, 1.0])
+    def test_edge_tol_must_lie_in_unit_interval(self, edge_tol):
+        # a NaN limit compares false against every weight: the monitor would be off
+        params = LaserParams(
+            gain=0.0, loss=0.0, dg=0.0, delta_am=0.5, delta_fm=0.5,
+            phi=-np.pi / 2, detuning=-0.6,
+        )
+        spec = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=1.0, window=(-3, 3))
+        c0 = gaussian_state(spec, 0.0, 3.0)
+        with pytest.raises(ValidationError, match="edge_tol"):
+            laser_evolve(params, c0, EvolveConfig(t_end=5.0, dt=0.002), edge_tol=edge_tol)
+
     def test_validations(self):
         with pytest.raises(ValidationError):
             LaserParams(
