@@ -295,8 +295,10 @@ def _run_evolve(resolved: dict, spec: LatticeSpec) -> "StateTrajectory":
     c0 = _initial_state(resolved, spec)
     t_end = resolved["t_end"]
     if resolved["method"] == "closed":
-        if resolved["flux_rate"] is not None:
-            raise ValidationError("flux_rate requires the rk4 method")
+        unset = {"flux_rate": None, "dt": None, "record_every": 1, "renormalize": False}
+        for name, default in unset.items():
+            if resolved[name] != default:  # the closed form has no step to set or thin
+                raise ValidationError(f"{name} requires the rk4 method")
         if t_end == 0.0:
             times = np.zeros(1)
         else:

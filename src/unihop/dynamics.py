@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import OverflowAbort, ValidationError
 from .lattice import (
@@ -155,18 +154,32 @@ def gaussian_state(spec: LatticeSpec, center: float, width: float) -> StateVecto
     return StateVector(offset=spec.offset, amps=amps)
 
 
-def _factorial_powers(z: complex, j) -> np.ndarray:
-    """The kernel z^j / j! for integers j >= 0 (the indicator of j = 0 at z = 0).
+_log_factorial_table = np.zeros(1)
 
-    Evaluated through exp(j log z - lgamma(j+1)) so large j neither overflow
-    nor lose the factorial cancellation.  It is the closed-form propagator
-    with z = -i kappa1 t and the Wannier-Stark amplitude with z = kappa1/F.
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log j! for j = 0..count-1 from ``math.lgamma``, sliced from a table
+    that at least doubles whenever a larger count is asked for."""
+    global _log_factorial_table
+    if count > _log_factorial_table.size:
+        size = max(count, 2 * _log_factorial_table.size)
+        _log_factorial_table = np.array([math.lgamma(j + 1.0) for j in range(size)])
+        _log_factorial_table.setflags(write=False)
+    return _log_factorial_table[:count]
+
+
+def _factorial_powers(z: complex, count: int) -> np.ndarray:
+    """The kernel z^j / j! for j = 0..count-1 (the indicator of j = 0 at z = 0).
+
+    Evaluated through exp(j log z - log j!) so large j neither overflow nor
+    lose the factorial cancellation.  It is the closed-form propagator with
+    z = -i kappa1 Phi(t) and the Wannier-Stark amplitude with z = kappa1/F.
     """
-    j = np.asarray(j, dtype=float)
+    j = np.arange(count)
     if z == 0:
         return (j == 0).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-        return np.exp(j * cmath.log(z) - gammaln(j + 1.0))
+        return np.exp(j * cmath.log(z) - _log_factorials(count))
 
 
 def _guard_overflow(amps: np.ndarray, t: float, remedy: str) -> None:
@@ -263,7 +276,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
             if force != 0.0:
                 phis = 2.0 / force * np.sin(0.5 * force * t_arr) * np.exp(-0.5j * force * t_arr)
             for i, (t, phi) in enumerate(zip(t_arr, phis)):
-                u = _factorial_powers(-1j * spec.kappa1 * phi, np.arange(hi + 1))
+                u = _factorial_powers(-1j * spec.kappa1 * phi, hi + 1)
                 u = u[: np.flatnonzero(u)[-1] + 1]
                 row = np.convolve(reversed_support, u)[: hi + 1][::-1]  # sites hi+1-size..hi
                 reached = slice(hi + 1 - row.size, hi + 1)

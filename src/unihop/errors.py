@@ -52,12 +52,12 @@ class EdgeLeakError(ComputationError):
     """Wavepacket weight at the window boundary exceeded the edge monitor."""
 
 
-def _checked(what: str, routine, *args):
+def _checked(what: str, routine, *args, **kwargs):
     """Call a dense linear-algebra routine; failure or a non-finite result is
     a :class:`ComputationError` naming ``what``."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
-            result = routine(*args)
+            result = routine(*args, **kwargs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ComputationError(f"{what} failed: {exc}") from exc
     if not np.all(np.isfinite(result)):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     _OVERFLOW_LIMIT,
@@ -183,7 +182,8 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
     products = _bloch_products(spec, drive.force, drive.period, dt)
     if np.any(np.abs(products) < 1e-300):
         raise ComputationError("monodromy is numerically singular")
-    m = scipy.linalg.circulant(np.fft.ifft(products))
+    i = np.arange(spec.dim)
+    m = np.fft.ifft(products)[(i[:, None] - i) % spec.dim]  # circulant: M[i, j] = col[i - j]
     return QuasiEnergyReport(
         mu=fold_quasi_energy(1j * np.log(products) / drive.period, drive.force),
         monodromy=m,

@@ -176,6 +176,28 @@ class TestEvolveCommand:
         assert code == 2
         assert "flux_rate requires the rk4 method" in err
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            (["--renormalize"], "renormalize"),
+            (["--record-every", "7"], "record_every"),
+            (["--dt", "0.5"], "dt"),
+        ],
+        ids=["renormalize", "record-every", "dt"],
+    )
+    def test_step_options_require_rk4(self, capsys, flag, name):
+        # the closed form has no step to size, thin or renormalize
+        code, _, err = run(
+            [
+                "evolve", "--geometry", "chain", "--sites", "8", "--method", "closed",
+                "--t-end", "3", "--samples", "4", *flag,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{name} requires the rk4 method" in err
+
     def test_rk4_matches_closed_route(self, capsys, tmp_path):
         common = [
             "--geometry", "chain", "--sites", "5", "--site", "4",
@@ -727,35 +749,61 @@ def test_package_runs_as_module():
     assert "COMMAND" in result.stdout
 
 
-def test_cli_import_leaves_optimize_and_integrate_unloaded():
-    # each is imported at its single use, off the start-up path of every command
-    code = (
-        "import sys, unihop.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
-
-
-def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
-    # a rank SVD that fails must land in the exit-code table
-    def failing_svdvals(matrix):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(scipy.linalg, "svdvals", failing_svdvals)
-    code, _, err = run(["spectrum", "--geometry", "chain", "--sites", "4"], capsys)
-    assert code == 3
-    assert "Traceback" not in err
-    assert err.startswith("computation error:")
-
-
 RWA_ARGV = [
     "rwa", "--theta", "1.5707963267948966", "--x", "0.8",
     "--gamma", "3.0017822918018364+0.6994075768635631i", "--ratios", "5", "--sites", "6",
 ]
+
+
+def _scipy_modules_after(statement, cwd):
+    """The scipy modules that a fresh interpreter holds after ``statement``."""
+    probe = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; " + statement + probe],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        cwd=cwd,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import unihop",
+        "import unihop.cli",
+        "from unihop.cli import main; "
+        "assert main(['spectrum', '--geometry', 'ring', '--sites', '4']) == 0",
+        "from unihop.cli import main; assert main(['engineer', '--theta', "
+        "'1.5707963267948966', '--x', '0.8', '--gamma-guess', '3+0.7i']) == 0",
+        "from unihop.cli import main; assert main(['evolve', '--geometry', 'chain', '--sites', "
+        "'4', '--site', '3', '--method', 'closed', '--t-end', '1']) == 0",
+    ],
+    ids=["import-unihop", "import-cli", "ring-spectrum", "engineer", "closed-evolve"],
+)
+def test_start_up_and_scipy_free_commands_leave_scipy_unloaded(tmp_path, statement):
+    # scipy is imported only at its call sites; nothing on these paths needs it
+    assert _scipy_modules_after(statement, tmp_path) == "[]"
+
+
+def test_rwa_loads_scipy_for_expm(tmp_path):
+    # the control for the probe above: the one command that needs scipy loads it
+    statement = f"from unihop.cli import main; assert main({RWA_ARGV!r}) == 0"
+    assert "'scipy.linalg'" in _scipy_modules_after(statement, tmp_path)
+
+
+def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
+    # a rank SVD that fails must land in the exit-code table
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code, _, err = run(["spectrum", "--geometry", "chain", "--sites", "4"], capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("computation error:")
 
 
 def _assert_exit_3(code, err, what):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import i0
 
+import unihop.dynamics as dynamics
 from unihop import (
     EvolveConfig,
     Geometry,
@@ -91,6 +92,21 @@ class TestPropagatorEntry:
         dense = expm(-1j * h * t)
         columns = np.array([_column(spec.kappa1, t, l, sites=30) for l in range(30)]).T
         assert np.max(np.abs(dense - columns)) <= 1e-12
+
+
+class TestLogFactorials:
+    def test_agrees_with_gammaln_as_the_table_grows_and_shrinks(self, monkeypatch):
+        from scipy.special import gammaln
+
+        monkeypatch.setattr(dynamics, "_log_factorial_table", np.zeros(1))
+        for count in (3, 5001, 10, 4097, 1):  # smaller orders after larger ones
+            got = dynamics._log_factorials(count)
+            want = gammaln(np.arange(count) + 1.0)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            dynamics._log_factorials(8)[3] = 0.0
 
 
 class TestClosedForm:

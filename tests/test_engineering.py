@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import unihop.engineering as engineering
 from unihop import (
     ComputationError,
     EdgeLeakError,
@@ -167,6 +168,20 @@ class TestEffectiveHopping:
             quad = effective_hopping_quadrature(p)
             assert abs(closed.rho - quad.rho) <= 1e-8
             assert abs(closed.sigma - quad.sigma) <= 1e-8
+
+    def test_simpson_sum_matches_scipy_on_the_readme_protocol(self, monkeypatch):
+        from scipy.integrate import simpson
+
+        protocol = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
+        ours = effective_hopping_quadrature(protocol)
+        monkeypatch.setattr(
+            engineering,
+            "_simpson",
+            lambda values, a, b: simpson(values, x=np.linspace(a, b, values.size)),
+        )
+        reference = effective_hopping_quadrature(protocol)
+        assert abs(ours.rho - reference.rho) <= 1e-14
+        assert abs(ours.sigma - reference.sigma) <= 1e-14
 
     def test_quadrature_is_period_invariant(self):
         a = ModulationProtocol.with_shape(0.9, 0.7, 1.2 + 0.5j, period=0.25)

@@ -93,6 +93,36 @@ class TestRingSpectrum:
         assert report.clusters[0].multiplicity == 5
         assert report.clusters[0].ep_order == 1
 
+    @staticmethod
+    def _edit_dense_eigenvalues(monkeypatch, edit):
+        eigvals = np.linalg.eigvals
+
+        def edited(matrix):
+            values = eigvals(matrix)
+            edit(values)
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvals", edited)
+
+    @pytest.mark.parametrize("kappa1", [0.8 + 0.3j, 0.0])
+    def test_moved_dense_eigenvalue_is_rejected(self, monkeypatch, kappa1):
+        # at kappa1 = 0 every analytic value is 0 and the check is max|dense|
+        def move(values):
+            values[2] += 1e-6
+
+        self._edit_dense_eigenvalues(monkeypatch, move)
+        with pytest.raises(ComputationError, match="disagrees with dense eigensolve by 1.000e-06"):
+            ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, sites=6))
+
+    def test_duplicated_dense_eigenvalue_is_rejected(self, monkeypatch):
+        # every dense value then sits on an analytic one, but two share it
+        def duplicate(values):
+            values[1] = values[0]
+
+        self._edit_dense_eigenvalues(monkeypatch, duplicate)
+        with pytest.raises(ComputationError, match="share one nearest analytic value"):
+            ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=6))
+
     def test_geometry_validation(self):
         with pytest.raises(ValidationError):
             ring_spectrum(chain(4))
@@ -100,6 +130,43 @@ class TestRingSpectrum:
             ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=4, force=0.5))
         with pytest.raises(ValidationError):
             ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, kappa2=0.5, sites=4))
+
+
+def _clusters_by_connected_components(eigenvalues, tol):
+    """The clustering as scipy's graph routine gives it, for reference."""
+    from scipy.sparse.csgraph import connected_components
+
+    close = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) <= tol
+    _, labels = connected_components(close, directed=False)
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return sorted(groups.values(), key=lambda g: (eigenvalues[g[0]].real, eigenvalues[g[0]].imag))
+
+
+class TestClusterLabelling:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_connected_components_on_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 60))
+        points = rng.uniform(0, 1, count) + 1j * rng.uniform(0, 1, count)
+        tol = float(rng.uniform(0.02, 0.3))
+        want = _clusters_by_connected_components(points, tol)
+        assert spectral._cluster_indices(points, tol) == want
+
+    def test_chains_connected_only_transitively(self):
+        # two shuffled chains of points 0.9 apart; the ends of each lie many
+        # tolerances apart and join only through the links between them
+        rng = np.random.default_rng(5)
+        links = np.concatenate([0.9 * np.arange(40), 100.0 + 0.9j * np.arange(25)])
+        points = links[rng.permutation(links.size)]
+        got = spectral._cluster_indices(points, 1.0)
+        assert sorted(len(g) for g in got) == [25, 40]
+        assert got == _clusters_by_connected_components(points, 1.0)
+
+    def test_isolated_points_stay_apart(self):
+        points = np.array([0.0, 3.0, 1.0, 2.0]) + 0j
+        assert spectral._cluster_indices(points, 0.5) == [[0], [2], [3], [1]]
 
 
 class TestAnalyzeSpectrum:
