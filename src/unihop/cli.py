@@ -306,6 +306,8 @@ def _run_evolve(resolved: dict, spec: LatticeSpec) -> "StateTrajectory":
                 raise ValidationError("need samples >= 2 for t_end > 0")
             times = np.linspace(0.0, t_end, resolved["samples"])
         return evolve_closed_form(spec, c0, times)
+    if resolved["samples"] != 201:  # RK4 records every record_every-th step
+        raise ValidationError("samples requires the closed method")
     dt = resolved["dt"]
     if dt is None:
         if t_end == 0.0:

@@ -198,6 +198,20 @@ class TestEvolveCommand:
         assert "Traceback" not in err
         assert f"{name} requires the rk4 method" in err
 
+    def test_samples_requires_closed_method(self, capsys, tmp_path):
+        # RK4 records every record_every-th step and has no sample count to honour
+        code, _, err = run(
+            [
+                "evolve", "--geometry", "chain", "--sites", "4", "--site", "3",
+                "--t-end", "1", "--dt", "0.01", "--samples", "7",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "samples requires the closed method" in err
+        assert not (tmp_path / "evolve_observables.csv").exists()
+
     def test_rk4_matches_closed_route(self, capsys, tmp_path):
         common = [
             "--geometry", "chain", "--sites", "5", "--site", "4",

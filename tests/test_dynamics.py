@@ -29,6 +29,7 @@ from unihop import (
     rhs,
     single_site_state,
 )
+from unihop.lattice import _spec_bands
 
 
 def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
@@ -310,6 +311,49 @@ class TestRk4:
         assert traj.log_scale[-1] == pytest.approx(400.0, abs=3.0)
         assert np.allclose(traj.weight, 1.0, atol=1e-12)
         assert np.all(traj.revival >= 0.0)
+
+    @pytest.mark.parametrize("flux_rate", [None, 1e-3], ids=["static", "flux"])
+    def test_overflow_guard_aborts_where_a_per_step_check_does(self, monkeypatch, flux_rate):
+        # the guard measures max|c| only when the running bound could pass
+        # 1e150; a check after every step must abort at the very same step.
+        # The bound grows at rate |kappa1| + |kappa2| = 3.5, the state at 2.
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=2j, kappa2=1.5, sites=4)
+        c0 = single_site_state(spec, 0)
+        cfg = EvolveConfig(t_end=200.0, dt=0.02)
+        checked_at = []
+        guard = dynamics._guard_overflow
+
+        def counted_guard(amps, t, remedy):
+            checked_at.append(t)
+            return guard(amps, t, remedy)
+
+        monkeypatch.setattr(dynamics, "_guard_overflow", counted_guard)
+        with pytest.raises(OverflowAbort) as guarded:
+            evolve_rk4(spec, c0, cfg, flux_rate=flux_rate)
+
+        class PerStepAbort(Exception):
+            pass
+
+        def per_step(t, y):
+            if not float(np.abs(y).max()) <= 1e150:
+                raise PerStepAbort(t)
+
+        # the reference: a guard that never aborts, and the check in a step hook
+        monkeypatch.setattr(
+            dynamics, "_guard_overflow", lambda amps, t, remedy: float(np.abs(amps).max())
+        )
+        with pytest.raises(PerStepAbort) as reference:
+            dynamics._evolve(
+                _spec_bands(spec), flux_rate, c0, cfg, dynamics._dt_scale(spec, flux_rate),
+                "the fastest scale", step_hook=per_step,
+            )
+        t_abort = reference.value.args[0]
+        assert checked_at[-1] == t_abort
+        assert len(checked_at) < 0.01 * 200.0 / 0.02  # under 1 % of the 10,000 steps
+        assert str(guarded.value) == (
+            f"amplitude overflow (max|c| > 1e150) at t = {t_abort:.6g}; "
+            f"{dynamics._RENORMALIZE}"
+        )
 
     def test_dt_rule_enforced(self):
         spec = chain(4, kappa1=3.0)

@@ -190,6 +190,105 @@ class TestEffectiveHopping:
         assert qa.rho == pytest.approx(qb.rho, abs=1e-10)
         assert qa.sigma == pytest.approx(qb.sigma, abs=1e-10)
 
+    def test_exp_ramp_matches_direct_exponentials(self):
+        for start, step in ((0.3 - 1.2j, 2e-3 + 1e-3j), (-4.0 + 0.5j, -1.5e-3 - 2e-3j)):
+            direct = np.exp(start + step * np.arange(4097))
+            ramp = engineering._exp_ramp(start, step)
+            assert ramp.shape == (4097,)
+            assert np.max(np.abs(ramp - direct) / np.abs(direct)) <= 1e-14
+
+    @pytest.mark.parametrize("b", [12.0, 15.0, 20.0, 30.0])
+    def test_gates_are_relative_at_large_im_gamma(self, b):
+        # rho grows like e^{|Im Gamma|} (|rho| = 1.4e11 at b = 30): absolute
+        # gates refused these valid protocols
+        p = ModulationProtocol.with_shape(np.pi / 2, 0.8, 3.0 + b * 1j)
+        closed = effective_hopping(p)
+        quad = effective_hopping_quadrature(p)
+        assert abs(closed.rho) > 5e3
+        assert abs(quad.rho - closed.rho) <= 1e-9 * abs(closed.rho)
+
+    def test_parity_gate_fires_on_a_planted_branch_error(self, monkeypatch):
+        # ten Simpson sums per call: three active branches and two quiet
+        # tails for the even sites, then the same for the odd ones
+        protocol = ModulationProtocol.with_shape(0.9, 0.7, 1.2 + 0.5j)
+        effective_hopping_quadrature(protocol)
+        simpson = engineering._simpson
+        calls = []
+
+        def planted(values, a, b):
+            calls.append(a)
+            total = simpson(values, a, b)
+            return total * (1.0 + 1e-6) if len(calls) == 6 else total
+
+        monkeypatch.setattr(engineering, "_simpson", planted)
+        with pytest.raises(ComputationError, match="site-parity averages"):
+            effective_hopping_quadrature(protocol)
+        assert len(calls) == 10
+
+    def test_closed_form_gate_fires_on_a_planted_error(self, monkeypatch):
+        closed_form = engineering._closed_form_hopping
+
+        def planted(*args):
+            exact = closed_form(*args)
+            return EffectiveHopping(rho=exact.rho * (1.0 + 1e-6), sigma=exact.sigma)
+
+        monkeypatch.setattr(engineering, "_closed_form_hopping", planted)
+        with pytest.raises(ComputationError, match="closed-form hopping disagrees"):
+            effective_hopping(ModulationProtocol.with_shape(0.9, 0.7, 1.2 + 0.5j))
+
+    def test_quadrature_matches_plain_reference(self, monkeypatch):
+        # one Simpson sum over np.exp on the 4097 np.linspace samples of each
+        # branch, for each parity and kick sign: sixteen in all, none shared
+        def reference(protocol, kappa=1.0):
+            results = {}
+            for parity in (1.0, -1.0):
+                for kick_sign in (-1.0, 1.0):
+                    total, w_start, a = 0j, 0.0, 0.0
+                    for duration, h in protocol._schedule:
+                        b = a + duration
+                        ts = np.linspace(a, b, 4097)
+                        kick = kick_sign * protocol.theta * (h == 0.0)
+                        phase = parity * protocol.drive_amplitude * (w_start + h * (ts - a))
+                        total += engineering._simpson(np.exp(1j * (phase + kick)), a, b)
+                        w_start += h * (b - a)
+                        a = b
+                    results[parity, kick_sign] = kappa * total / protocol.period
+            even = EffectiveHopping(rho=results[1.0, -1.0], sigma=results[1.0, 1.0])
+            scale = max(1.0, abs(kappa), abs(even.rho), abs(even.sigma))
+            for kick_sign in (-1.0, 1.0):
+                if not abs(results[1.0, kick_sign] - results[-1.0, kick_sign]) <= 1e-10 * scale:
+                    raise ComputationError("site-parity averages disagree")
+            return even
+
+        def outcome(protocol, kappa):
+            try:
+                return effective_hopping(protocol, kappa)
+            except ComputationError:
+                return None
+
+        rng = np.random.default_rng(29)
+        refused = 0
+        for i in range(200):
+            large = i % 10 == 0  # |Im Gamma| from 60 to 160, where the closed-form gate bites
+            im = rng.uniform(60.0, 160.0) if large else rng.uniform(-6.0, 6.0)
+            gamma = complex(rng.uniform(-8.0, 8.0), im)
+            p = ModulationProtocol.with_shape(
+                rng.uniform(-10.0, 10.0), rng.uniform(0.01, 0.99), gamma,
+                period=10.0 ** rng.uniform(-3.0, 2.0),
+            )
+            kappa = (1.0, -2.5, 1e3, -0.3)[i % 4]
+            ours, plain = effective_hopping_quadrature(p, kappa), reference(p, kappa)
+            if not large:
+                size = max(abs(plain.rho), abs(plain.sigma))
+                assert abs(ours.rho - plain.rho) <= 1e-14 * size
+                assert abs(ours.sigma - plain.sigma) <= 1e-14 * size
+            accepted = outcome(p, kappa)
+            with monkeypatch.context() as m:
+                m.setattr(engineering, "effective_hopping_quadrature", reference)
+                assert (outcome(p, kappa) is None) == (accepted is None)
+            refused += accepted is None
+        assert 0 < refused < 20
+
 
 class TestSolveUnidirectional:
     def test_worked_point_matches_frozen_root(self):
