@@ -70,13 +70,21 @@ __all__ = [
 ]
 
 
+def _sin_cos(z: complex) -> tuple[complex, complex]:
+    """sin z and cos z, which pass the largest float once |Im z| passes about 710."""
+    try:
+        return cmath.sin(z), cmath.cos(z)
+    except OverflowError:
+        raise ComputationError(f"sinc(Gamma) overflows at |Im Gamma| = {abs(z.imag):.6g}") from None
+
+
 def _csinc(z: complex) -> complex:
     """sin(z)/z with the removable singularity filled by its Taylor series."""
     z = complex(z)
     if abs(z) < 1e-4:
         z2 = z * z
         return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return cmath.sin(z) / z
+    return _sin_cos(z)[0] / z
 
 
 def _csinc_deriv(z: complex) -> complex:
@@ -85,7 +93,8 @@ def _csinc_deriv(z: complex) -> complex:
     if abs(z) < 1e-4:
         z2 = z * z
         return z * (-1.0 / 3.0 + z2 / 30.0)
-    return cmath.cos(z) / z - cmath.sin(z) / (z * z)
+    sin, cos = _sin_cos(z)
+    return cos / z - sin / (z * z)
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ def _exp_ramp(start: complex, step: complex) -> np.ndarray:
     k = np.arange(_FINE)
     coarse = np.exp(start + (_FINE * step) * k)
     fine = np.exp(step * k)
-    return np.append(np.outer(coarse, fine), cmath.exp(start + (_FINE * _FINE) * step))
+    return np.append(np.outer(coarse, fine), np.exp(start + (_FINE * _FINE) * step))
 
 
 def effective_hopping_quadrature(
@@ -248,7 +257,9 @@ def effective_hopping_quadrature(
     and sigma, which differ only in the tail's kick sign.  Both site parities
     are averaged on their own and must agree to 1e-10 * max(1, |kappa|,
     |rho|, |sigma|) (the closed forms are parity-free because sinc is even);
-    disagreement flags a quadrature fault.
+    disagreement flags a quadrature fault.  Once the samples or their sums pass
+    the largest float (near |Im Gamma| = 709 at kappa = 1), a
+    :class:`ComputationError` says so.
 
     This is an independent evaluation route used to cross-check the closed
     forms in :func:`effective_hopping`.
@@ -256,20 +267,24 @@ def effective_hopping_quadrature(
     steps = _SIMPSON_WEIGHTS.size - 1
     *drive, (tail, _) = protocol._schedule
     results = {}
-    for parity_sign in (1.0, -1.0):  # even / odd site n
-        rate = 1j * parity_sign * protocol.drive_amplitude  # exponent per unit w
-        active = 0j
-        w_start = 0.0
-        a = 0.0
-        for duration, h in drive:
-            b = a + duration
-            active += _simpson(_exp_ramp(rate * w_start, rate * h * (b - a) / steps), a, b)
-            w_start = w_start + h * (b - a)
-            a = b
-        for kick_sign, key in ((-1.0, "rho"), (1.0, "sigma")):
-            quiet = cmath.exp(rate * w_start + 1j * kick_sign * protocol.theta)
-            total = active + _simpson(np.full(steps + 1, quiet), a, a + tail)
-            results[(parity_sign, key)] = kappa * total / protocol.period
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
+        for parity_sign in (1.0, -1.0):  # even / odd site n
+            rate = 1j * parity_sign * protocol.drive_amplitude  # exponent per unit w
+            active = 0j
+            w_start = 0.0
+            a = 0.0
+            for duration, h in drive:
+                b = a + duration
+                active += _simpson(_exp_ramp(rate * w_start, rate * h * (b - a) / steps), a, b)
+                w_start = w_start + h * (b - a)
+                a = b
+            for kick_sign, key in ((-1.0, "rho"), (1.0, "sigma")):
+                quiet = cmath.exp(rate * w_start + 1j * kick_sign * protocol.theta)
+                total = active + _simpson(np.full(steps + 1, quiet), a, a + tail)
+                results[(parity_sign, key)] = kappa * total / protocol.period
+    if not all(cmath.isfinite(z) for z in results.values()):
+        gamma = protocol.gamma
+        raise ComputationError(f"the time average overflows at |Im Gamma| = {abs(gamma.imag):.6g}")
     even = EffectiveHopping(rho=results[(1.0, "rho")], sigma=results[(1.0, "sigma")])
     scale = max(1.0, abs(kappa), abs(even.rho), abs(even.sigma))
     for key in ("rho", "sigma"):
@@ -380,6 +395,37 @@ def solve_unidirectional(
     )
 
 
+_THETA_13 = 5.371920351148152  # 1-norm up to which Pade-13 needs no scaling
+_PADE_13 = np.array([  # divided by the first below, so that exp(0) = I exactly
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the degree-13 diagonal Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005): a is
+    scaled by 2^-s until its 1-norm is at most theta_13, r = (V - U)^-1 (V + U)
+    is formed from a^2, a^4 and a^6, and r is squared s times."""
+    norm = np.linalg.norm(a, 1)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if 0.0 < norm < math.inf else 0
+    a = a * 2.0**-s
+    b = _PADE_13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    ident = np.eye(a.shape[0])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+         + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 @dataclass(frozen=True)
 class RwaSample:
     """One row of the RWA validation table at drive rate omega = ratio * |kappa|."""
@@ -405,7 +451,8 @@ def rwa_validate(
     full equations are propagated to t_end, which must be an integer number
     of periods at every ratio.  The generator is constant on each of the four
     branches of h(t), so each branch is the exact propagator
-    exp(-i span H_branch), built once per ratio; the multiplicative kick
+    exp(-i span H_branch), built once per ratio by Pade-13 scaling and
+    squaring (Higham 2005, :func:`_expm`); the multiplicative kick
     e^{-i theta n} opens the quiet tail at t1 + mT and e^{+i theta n} unwinds
     it at each period boundary.  The overflow guard checks the state after
     every branch.  The result is compared against exp(-i H_eff t_end) c0
@@ -426,8 +473,6 @@ def rwa_validate(
     if any(not math.isfinite(r) or r <= 0 for r in ratios):
         raise ValidationError("omega ratios must be positive (fast drive means >= 5)")
     kappa = float(kappa)
-    import scipy.linalg  # the package's one scipy use, kept out of `import unihop`
-
     hopping = effective_hopping(protocol, kappa)
     n_idx = np.arange(sites)
     kick = np.exp(-1j * protocol.theta * n_idx)
@@ -455,9 +500,7 @@ def rwa_validate(
         for span, h_val in scaled._schedule:
             diag = scaled.drive_amplitude * h_val * even
             generator = _dense(_bands(sites, kappa, kappa, diag=diag))
-            propagator = _checked(
-                "branch propagator", scipy.linalg.expm, -1j * span * generator
-            )
+            propagator = _checked("branch propagator", _expm, -1j * span * generator)
             branches.append((span, h_val == 0.0, propagator))
         y = np.asarray(c0.amps, dtype=complex)
         t = 0.0
@@ -469,9 +512,7 @@ def rwa_validate(
                 t += span
                 _guard_overflow(y, t, "shorten t_end or reduce |Im Gamma|")
             y = unwind * y
-        reference = _checked(
-            "effective propagator", scipy.linalg.expm, -1j * h_eff * t_end
-        ) @ np.asarray(c0.amps)
+        reference = _checked("effective propagator", _expm, -1j * h_eff * t_end) @ c0.amps
         scale = float(np.linalg.norm(reference))
         if scale == 0.0:
             raise ComputationError("effective evolution annihilated the state")

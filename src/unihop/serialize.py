@@ -128,15 +128,20 @@ def report_to_dict(report: SpectrumReport, include_vectors: bool = False) -> dic
 
 
 def write_trajectory_csv(traj: StateTrajectory, target) -> None:
-    """Columns t, site, re, im: one row per recorded time per site."""
-    sites = traj.site_indices
+    """Columns t, site, re, im: one row per recorded time per site.
+
+    Each record is one write.  Its floats come from the repr of a Python
+    list, which spells each float as ``repr(float)`` does, the same text a
+    ``csv.writer`` writes; one record at a time keeps the text small.
+    """
+    sites = [str(int(n)) for n in traj.site_indices]
     with _writable(target) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "site", "re", "im"])
-        for i, t in enumerate(traj.times):
-            row_amps = traj.amps[i]
-            for n, z in zip(sites, row_amps):
-                writer.writerow([float(t), int(n), z.real, z.imag])
+        fh.write("t,site,re,im\n")
+        for t, row in zip(traj.times, traj.amps):
+            t_text = repr(float(t))
+            re = repr(row.real.tolist())[1:-1].split(", ")
+            im = repr(row.imag.tolist())[1:-1].split(", ")
+            fh.write("".join(f"{t_text},{n},{x},{y}\n" for n, x, y in zip(sites, re, im)))
 
 
 def write_observables_csv(traj: StateTrajectory, target) -> None:

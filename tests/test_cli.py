@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import unihop
+from unihop import engineering
 from unihop.cli import main
 
 GAMMA_STAR = 3.0017822918018364 + 0.6994075768635631j
@@ -445,6 +445,21 @@ class TestEngineerCommand:
         assert "computation error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rwa", "--theta", "1.5707963267948966", "--x", "0.8", "--gamma", "3+800i"],
+        ["engineer", "--theta", "1.5707963267948966", "--x", "0.8", "--gamma-guess", "3+800i"],
+    ],
+    ids=["rwa", "engineer"],
+)
+def test_sinc_overflow_at_large_im_gamma_maps_to_exit_3(capsys, argv):
+    # sin(Gamma) passes the largest float once |Im Gamma| passes about 710
+    code, _, err = run(argv, capsys)
+    _assert_exit_3(code, err, "|Im Gamma| = 800")
+    assert len(err.splitlines()) == 1
+
+
 class TestRwaCommand:
     def test_single_ratio_run(self, capsys, tmp_path):
         code, out, _ = run(
@@ -794,18 +809,18 @@ def _scipy_modules_after(statement, cwd):
         "'1.5707963267948966', '--x', '0.8', '--gamma-guess', '3+0.7i']) == 0",
         "from unihop.cli import main; assert main(['evolve', '--geometry', 'chain', '--sites', "
         "'4', '--site', '3', '--method', 'closed', '--t-end', '1']) == 0",
+        f"from unihop.cli import main; assert main({RWA_ARGV!r}) == 0",
     ],
-    ids=["import-unihop", "import-cli", "ring-spectrum", "engineer", "closed-evolve"],
+    ids=["import-unihop", "import-cli", "ring-spectrum", "engineer", "closed-evolve", "rwa"],
 )
 def test_start_up_and_scipy_free_commands_leave_scipy_unloaded(tmp_path, statement):
     # scipy is imported only at its call sites; nothing on these paths needs it
     assert _scipy_modules_after(statement, tmp_path) == "[]"
 
 
-def test_rwa_loads_scipy_for_expm(tmp_path):
-    # the control for the probe above: the one command that needs scipy loads it
-    statement = f"from unihop.cli import main; assert main({RWA_ARGV!r}) == 0"
-    assert "'scipy.linalg'" in _scipy_modules_after(statement, tmp_path)
+def test_scipy_probe_sees_a_loaded_scipy_module(tmp_path):
+    # the control for the probe above: it does report scipy once it is loaded
+    assert "'scipy.linalg'" in _scipy_modules_after("import scipy.linalg", tmp_path)
 
 
 def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
@@ -864,7 +879,7 @@ def test_floquet_overflow_names_the_exact_route(capsys):
 
 
 def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(scipy.linalg, "expm", _failing(np.linalg.LinAlgError("singular")))
+    monkeypatch.setattr(engineering, "_expm", _failing(np.linalg.LinAlgError("singular")))
     code, _, err = run(RWA_ARGV, capsys)
     _assert_exit_3(code, err, "branch propagator failed")
 
@@ -872,13 +887,13 @@ def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):
 def test_non_finite_effective_propagator_maps_to_exit_3(monkeypatch, capsys):
     # the four branch propagators come first; the fifth expm is the reference
     # exp(-i H_eff t_end), which here comes back infinite
-    expm = scipy.linalg.expm
+    expm = engineering._expm
     calls = []
 
     def expm_inf_on_fifth(matrix):
         calls.append(matrix)
         return np.full_like(matrix, np.inf) if len(calls) == 5 else expm(matrix)
 
-    monkeypatch.setattr(scipy.linalg, "expm", expm_inf_on_fifth)
+    monkeypatch.setattr(engineering, "_expm", expm_inf_on_fifth)
     code, _, err = run(RWA_ARGV, capsys)
     _assert_exit_3(code, err, "effective propagator returned non-finite values")

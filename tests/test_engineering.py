@@ -1,6 +1,7 @@
 """Modulation protocol, effective hopping synthesis, RWA checks, laser map."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from unihop import (
     single_site_state,
     solve_unidirectional,
 )
-from unihop.engineering import _csinc, _csinc_deriv
+from unihop.engineering import _csinc, _csinc_deriv, _expm
 
 # sigma = 0 root at theta = pi/2, x = 0.8 (frozen from an independent
 # grid-scan + Newton run; rho there is exactly -2i(1-x) sin(theta) = -0.4i)
@@ -59,6 +60,13 @@ class TestCsinc:
         for z in (0.3 + 0.2j, 2.0 - 1.0j, 1.5):
             fd = (_csinc(z + h) - _csinc(z - h)) / (2 * h)
             assert _csinc_deriv(z) == pytest.approx(fd, abs=1e-8)
+
+    @pytest.mark.parametrize("routine", [_csinc, _csinc_deriv])
+    @pytest.mark.parametrize("z", [3 + 800j, -2 - 711j])
+    def test_overflow_is_a_computation_error(self, routine, z):
+        # cmath.sin raises OverflowError past |Im z| of about 710
+        with pytest.raises(ComputationError, match=rf"\|Im Gamma\| = {abs(z.imag):g}"):
+            routine(z)
 
 
 class TestModulationProtocol:
@@ -196,6 +204,15 @@ class TestEffectiveHopping:
             ramp = engineering._exp_ramp(start, step)
             assert ramp.shape == (4097,)
             assert np.max(np.abs(ramp - direct) / np.abs(direct)) <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [1.0, -2.5])
+    def test_quadrature_overflow_is_a_computation_error(self, kappa):
+        # e^{|Im Gamma|} passes the largest float: no raw overflow, no warning
+        p = ModulationProtocol.with_shape(np.pi / 2, 0.8, 3 + 800j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError, match=r"\|Im Gamma\| = 800"):
+                effective_hopping_quadrature(p, kappa)
 
     @pytest.mark.parametrize("b", [12.0, 15.0, 20.0, 30.0])
     def test_gates_are_relative_at_large_im_gamma(self, b):
@@ -377,7 +394,51 @@ def _rwa_rk4_reference(protocol, kappa, ratio, sites, c0, t_end):
     return y
 
 
+class TestExpm:
+    def test_matches_scipy_on_random_matrices(self):
+        # sizes 2-30, 1-norms from 1e-6 to 30 (up to three squarings), a
+        # third of them upper-triangular and so far from normal
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for k in range(500):
+            n = int(rng.integers(2, 31))
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            if k % 3 == 0:
+                a = np.triu(a)
+            a *= 10 ** rng.uniform(-6, np.log10(30)) / np.linalg.norm(a, 1)
+            want = scipy.linalg.expm(a)
+            worst = max(worst, np.linalg.norm(_expm(a) - want) / np.linalg.norm(want))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_gives_the_identity_exactly(self, dtype):
+        assert np.array_equal(_expm(np.zeros((5, 5), dtype=dtype)), np.eye(5))
+
+    def test_nilpotent_jordan_block(self):
+        n = np.diag([1.0, 1.0], 1)
+        want = np.eye(3) + n + n @ n / 2
+        assert np.max(np.abs(_expm(n) - want)) <= 1e-15
+
+    def test_long_hermitian_step_stays_unitary(self):
+        # ||t H||_1 = 1e3 takes eight squarings
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        h = h + h.conj().T
+        u = _expm(-1j * (1e3 / np.linalg.norm(h, 1)) * h)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(10))) <= 1e-11
+
+
 class TestRwaValidate:
+    def test_matches_scipy_expm_at_the_readme_point(self, monkeypatch):
+        # the command-line defaults: 10 sites, c0 on site 5, one 2 pi, ratios 5, 10, 20
+        p = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
+        c0 = StateVector(offset=0, amps=np.eye(10, dtype=complex)[5])
+        ours = rwa_validate(p, 1.0, [5.0, 10.0, 20.0], sites=10, c0=c0, t_end=2 * np.pi)
+        monkeypatch.setattr(engineering, "_expm", scipy.linalg.expm)
+        want = rwa_validate(p, 1.0, [5.0, 10.0, 20.0], sites=10, c0=c0, t_end=2 * np.pi)
+        for a, b in zip(ours, want):
+            assert a.discrepancy == pytest.approx(b.discrepancy, rel=1e-12)
+
     @pytest.mark.parametrize("theta,x", [(np.pi / 2, 0.8), (1.1, 0.65)])
     def test_matches_branchwise_rk4(self, theta, x):
         gamma = solve_unidirectional(theta, x, 3.0 + 0.7j).gamma

@@ -1,5 +1,6 @@
 """Complex literals, deterministic JSON, and CSV layouts."""
 
+import csv
 import io
 import json
 
@@ -10,6 +11,7 @@ from unihop import (
     Geometry,
     HamiltonianMatrix,
     LatticeSpec,
+    StateTrajectory,
     ValidationError,
     analyze_spectrum,
     build_hamiltonian,
@@ -135,6 +137,31 @@ class TestCsv:
         assert len(lines) == 1 + 2 * 2
         assert lines[1].split(",")[:2] == ["0.0", "0"]
         assert lines[4].split(",")[:2] == ["1.0", "1"]
+
+    def test_trajectory_bytes_match_a_csv_writer(self):
+        # the reference is the csv.writer loop the one-write-per-record writer replaced
+        amps = np.array(
+            [
+                [complex(-0.0, 5e-324), complex(1e300, -0.1), complex(0.1, -1e-300)],
+                [complex(1 / 3, -1e-17), complex(-2.5, 1e16), complex(-0.0, -0.0)],
+            ]
+        )
+        zeros = np.zeros(2)
+        traj = StateTrajectory(
+            times=np.array([0.0, 0.1]), amps=amps, offset=-4,
+            com=zeros, weight=zeros, revival=zeros, log_scale=zeros,
+        )
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["t", "site", "re", "im"])
+        for i, t in enumerate(traj.times):
+            for n, z in zip(traj.site_indices, traj.amps[i]):
+                writer.writerow([float(t), int(n), z.real, z.imag])
+        got = io.StringIO()
+        write_trajectory_csv(traj, got)
+        assert got.getvalue() == want.getvalue()
+        assert "0.0,-4,-0.0,5e-324\n" in got.getvalue()
+        assert "0.1,-2,-0.0,-0.0\n" in got.getvalue()
 
     def test_observables_layout(self):
         spec = LatticeSpec(geometry=Geometry.FiniteChain, kappa1=1.0, sites=2)
