@@ -254,12 +254,8 @@ def _cmd_spectrum(args) -> int:
     h = build_hamiltonian(spec)
     report = analyze_spectrum(h, cluster_tol=resolved["cluster_tol"])
     ring_check = None
-    if (
-        spec.geometry is Geometry.Ring
-        and spec.force == 0.0
-        and spec.kappa2 == 0j
-    ):
-        ring_spectrum(spec)  # raises on analytic/dense mismatch
+    if spec.geometry is Geometry.Ring and spec.force == 0.0 and spec.kappa2 == 0j:
+        ring_spectrum(spec)  # raises when the closed form fails its certificate
         ring_check = "ok"
     out = report_to_dict(report, include_vectors=resolved["vectors"])
     out["geometry"] = resolved["geometry"]

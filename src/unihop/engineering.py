@@ -451,8 +451,8 @@ def rwa_validate(
     full equations are propagated to t_end, which must be an integer number
     of periods at every ratio.  The generator is constant on each of the four
     branches of h(t), so each branch is the exact propagator
-    exp(-i span H_branch), built once per ratio by Pade-13 scaling and
-    squaring (Higham 2005, :func:`_expm`); the multiplicative kick
+    exp(-i span H_branch), built once per ratio and distinct branch by Pade-13
+    scaling and squaring (Higham 2005, :func:`_expm`); the multiplicative kick
     e^{-i theta n} opens the quiet tail at t1 + mT and e^{+i theta n} unwinds
     it at each period boundary.  The overflow guard checks the state after
     every branch.  The result is compared against exp(-i H_eff t_end) c0
@@ -496,12 +496,12 @@ def rwa_validate(
                 f"t_end = {t_end:.6g} is not an integer number of drive periods "
                 f"at ratio {ratio:g} (T = {period:.6g})"
             )
-        branches = []
-        for span, h_val in scaled._schedule:
+        propagators = {}  # one per distinct branch: the first and third coincide
+        for span, h_val in dict.fromkeys(scaled._schedule):
             diag = scaled.drive_amplitude * h_val * even
             generator = _dense(_bands(sites, kappa, kappa, diag=diag))
-            propagator = _checked("branch propagator", _expm, -1j * span * generator)
-            branches.append((span, h_val == 0.0, propagator))
+            propagators[span, h_val] = _checked("branch propagator", _expm, -1j * span * generator)
+        branches = [(span, h == 0.0, propagators[span, h]) for span, h in scaled._schedule]
         y = np.asarray(c0.amps, dtype=complex)
         t = 0.0
         for _ in range(m_periods):

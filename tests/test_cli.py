@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import unihop
-from unihop import engineering
+from unihop import engineering, spectral
 from unihop.cli import main
 
 GAMMA_STAR = 3.0017822918018364 + 0.6994075768635631j
@@ -850,9 +850,33 @@ def _failing(exc):
 
 
 def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(np.linalg, "eigvals", _failing(np.linalg.LinAlgError("no convergence")))
-    code, _, err = run(["spectrum", "--geometry", "ring", "--sites", "4"], capsys)
-    _assert_exit_3(code, err, "dense ring eigensolve failed")
+    # a NaN, or a corner bond moved by 1e-6, in the bands that the ring
+    # certificate reads (analyze_spectrum builds its own H and is untouched)
+    spec_bands = spectral._spec_bands
+    for index, entry in ((0, np.nan), (-1, 1.0 + 1e-6)):
+
+        def edited(spec, index=index, entry=entry):
+            bands = spec_bands(spec)
+            bands[1][index] = entry
+            return bands
+
+        monkeypatch.setattr(spectral, "_spec_bands", edited)
+        code, _, err = run(["spectrum", "--geometry", "ring", "--sites", "4"], capsys)
+        _assert_exit_3(code, err, "eigenpair certificate failed")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sites, kappa1", [("64", "1e308"), ("65", "1.5e308+6e307i")])
+def test_near_overflow_ring_spectrum_prints_no_warning(capsys, tmp_path, sites, kappa1):
+    # warnings are errors here, so a raw numpy RuntimeWarning fails the test
+    code, _, err = run(
+        ["spectrum", "--geometry", "ring", "--sites", sites, "--kappa1", kappa1], capsys
+    )
+    assert code == 0
+    assert err == ""
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert data["ring_check"] == "ok"
+    assert len(data["clusters"]) == int(sites)
 
 
 @pytest.mark.parametrize(
@@ -885,15 +909,16 @@ def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):
 
 
 def test_non_finite_effective_propagator_maps_to_exit_3(monkeypatch, capsys):
-    # the four branch propagators come first; the fifth expm is the reference
-    # exp(-i H_eff t_end), which here comes back infinite
+    # every branch generator hops with kappa both ways; the one non-symmetric
+    # generator is -i H_eff t_end (rho forward, sigma backward), whose expm
+    # here comes back infinite
     expm = engineering._expm
-    calls = []
 
-    def expm_inf_on_fifth(matrix):
-        calls.append(matrix)
-        return np.full_like(matrix, np.inf) if len(calls) == 5 else expm(matrix)
+    def expm_inf_on_effective(matrix):
+        if not np.array_equal(matrix, matrix.T):
+            return np.full_like(matrix, np.inf)
+        return expm(matrix)
 
-    monkeypatch.setattr(engineering, "_expm", expm_inf_on_fifth)
+    monkeypatch.setattr(engineering, "_expm", expm_inf_on_effective)
     code, _, err = run(RWA_ARGV, capsys)
     _assert_exit_3(code, err, "effective propagator returned non-finite values")

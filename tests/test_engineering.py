@@ -439,6 +439,21 @@ class TestRwaValidate:
         for a, b in zip(ours, want):
             assert a.discrepancy == pytest.approx(b.discrepancy, rel=1e-12)
 
+    def test_one_expm_per_distinct_branch(self, monkeypatch):
+        # the first and third branch are both exp(-i (t1/4) H_+): three
+        # propagators and the reference per ratio, 12 for three ratios
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return _expm(matrix)
+
+        monkeypatch.setattr(engineering, "_expm", counted)
+        p = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
+        c0 = StateVector(offset=0, amps=np.eye(10, dtype=complex)[5])
+        rwa_validate(p, 1.0, [5.0, 10.0, 20.0], sites=10, c0=c0, t_end=2 * np.pi)
+        assert len(calls) == 12
+
     @pytest.mark.parametrize("theta,x", [(np.pi / 2, 0.8), (1.1, 0.65)])
     def test_matches_branchwise_rk4(self, theta, x):
         gamma = solve_unidirectional(theta, x, 3.0 + 0.7j).gamma

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.special import i0
 
+import unihop.lattice as lattice
 import unihop.spectral as spectral
 from unihop import (
     ComputationError,
@@ -94,34 +97,108 @@ class TestRingSpectrum:
         assert report.clusters[0].ep_order == 1
 
     @staticmethod
-    def _edit_dense_eigenvalues(monkeypatch, edit):
-        eigvals = np.linalg.eigvals
+    def _edit_ring_bands(monkeypatch, edit):
+        spec_bands = spectral._spec_bands
 
-        def edited(matrix):
-            values = eigvals(matrix)
-            edit(values)
-            return values
+        def edited(spec):
+            bands = spec_bands(spec)
+            edit(bands)
+            return bands
 
-        monkeypatch.setattr(np.linalg, "eigvals", edited)
+        monkeypatch.setattr(spectral, "_spec_bands", edited)
 
     @pytest.mark.parametrize("kappa1", [0.8 + 0.3j, 0.0])
     def test_moved_dense_eigenvalue_is_rejected(self, monkeypatch, kappa1):
-        # at kappa1 = 0 every analytic value is 0 and the check is max|dense|
-        def move(values):
-            values[2] += 1e-6
+        # one ring bond moved by 1e-6 (at kappa1 = 0 a 1e-6 entry planted in
+        # the zero matrix): R = dH V has ||R||_F = 1e-6 for the unitary V
+        def move(bands):
+            bands[1][2] += 1e-6
 
-        self._edit_dense_eigenvalues(monkeypatch, move)
-        with pytest.raises(ComputationError, match="disagrees with dense eigensolve by 1.000e-06"):
+        self._edit_ring_bands(monkeypatch, move)
+        message = re.escape("residual ||HV - VE||_F / 1.000e+00 = 1.000e-06")
+        with pytest.raises(ComputationError, match=message):
             ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, sites=6))
 
-    def test_duplicated_dense_eigenvalue_is_rejected(self, monkeypatch):
-        # every dense value then sits on an analytic one, but two share it
-        def duplicate(values):
-            values[1] = values[0]
+    def test_duplicated_dense_eigenvalue_is_rejected(self):
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=0.8 + 0.3j, sites=6)
+        report = ring_spectrum(spec)
+        bands = spectral._spec_bands(spec)
+        duplicated = report.eigenvalues.copy()
+        duplicated[1] = duplicated[0]
+        with pytest.raises(ComputationError, match="eigenpair certificate failed"):
+            spectral._certify_eigenpairs(bands, report.eigenvectors, duplicated)
+        # kappa1 e^{-iq} is the same set of values (a nearest-value check
+        # accepts it), but paired with the wrong plane waves
+        q = 2.0 * np.pi * np.arange(spec.dim) / spec.dim
+        mirrored = spec.kappa1 * np.exp(-1j * q)
+        assert np.allclose(np.sort_complex(mirrored), np.sort_complex(report.eigenvalues))
+        with pytest.raises(ComputationError, match="eigenpair certificate failed"):
+            spectral._certify_eigenpairs(bands, report.eigenvectors, mirrored)
 
-        self._edit_dense_eigenvalues(monkeypatch, duplicate)
-        with pytest.raises(ComputationError, match="share one nearest analytic value"):
-            ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=6))
+    def test_rescaled_column_is_rejected(self):
+        # a residual alone would pass V = 0; the unit column norms are checked
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=6)
+        report = ring_spectrum(spec)
+        bands = spectral._spec_bands(spec)
+        vectors = report.eigenvectors.copy()
+        vectors[:, 3] *= 0.5
+        with pytest.raises(ComputationError, match="squared column norm drift 7.500e-01"):
+            spectral._certify_eigenpairs(bands, vectors, report.eigenvalues)
+        with pytest.raises(ComputationError, match="eigenpair certificate failed"):
+            spectral._certify_eigenpairs(bands, np.zeros_like(vectors), report.eigenvalues)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        sites=st.integers(2, 96),
+        log_modulus=st.one_of(st.none(), st.floats(-300.0, 300.0)),
+        phase=st.floats(-math.pi, math.pi),
+    )
+    @example(sites=2, log_modulus=None, phase=0.0)
+    @example(sites=96, log_modulus=-300.0, phase=1.0)
+    @example(sites=96, log_modulus=300.0, phase=-2.0)
+    def test_certified_pairs_match_a_dense_eigensolve(self, sites, log_modulus, phase):
+        # log_modulus None is kappa1 = 0; warnings are errors throughout
+        kappa1 = 0j if log_modulus is None else cmath.rect(10.0**log_modulus, phase)
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, sites=sites)
+        report = ring_spectrum(spec)
+        unit = max(1.0, abs(kappa1))
+        h = build_hamiltonian(spec).entries / unit
+        values = report.eigenvalues / unit
+        distance = np.abs(np.linalg.eigvals(h)[:, None] - values[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        assert distance[rows, cols].max() <= 1e-10
+        vectors = report.eigenvectors
+        assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12
+
+    def test_reduced_phases_keep_a_2048_site_residual_small(self):
+        # exp(1j * outer(n, q)) would leave ||R||_F / unit near 1.3e-11 here
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=3.0, sites=2048)
+        report = ring_spectrum(spec)
+        worst = spectral._certify_eigenpairs(
+            spectral._spec_bands(spec), report.eigenvectors, report.eigenvalues
+        )
+        assert worst <= 1e-12
+
+    def test_calls_no_eigensolver_and_forms_no_dense_h(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ring_spectrum called an eigensolver or built a dense H")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(lattice, "_dense", refuse)
+        report = ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=0.8 + 0.3j, sites=64))
+        assert report.eigenvalues.size == 64
+
+    def test_near_overflow_eigenvalue_product(self):
+        # kappa1 * e^{iq} warns of an intermediate overflow at an odd size
+        # although every product is finite; past the float range it is refused
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=1.5e308 + 6e307j, sites=65)
+        q = 2.0 * np.pi * np.arange(65) / 65
+        with np.errstate(over="ignore"):
+            want = spec.kappa1 * np.exp(1j * q)
+        assert np.array_equal(ring_spectrum(spec).eigenvalues, want)
+        with pytest.raises(ComputationError, match="ring eigenvalue product returned non-finite"):
+            ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.5e308 + 1.5e308j, sites=8))
 
     def test_geometry_validation(self):
         with pytest.raises(ValidationError):
