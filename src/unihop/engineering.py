@@ -21,14 +21,14 @@ x sinc(Gamma) = -(1 - x) e^{i theta} cancels sigma exactly while
 rho = -2i kappa (1 - x) sin(theta) stays finite: unidirectional hopping from
 a fully reciprocal lattice.
 
-Frame convention: the lumped gradient is applied at t = T1 + mT and unwound
-at each period boundary (a zig-zag axis profile returns to the axis), so the
-accumulated drive phase is strictly T-periodic.  Without the unwind the
-interaction-picture hopping of period m carries an extra factor e^{-i m
-theta} -- the periods average to different Hamiltonians and no static
-effective model exists; with it, the one-period average above describes the
-stroboscopic dynamics at every multiple of T, which is what
-:func:`rwa_validate` checks by exact propagation of the drive.
+Peierls convention: the kick c_n -> e^{-i theta n} c_n at t = T1 + mT is
+unwound at each period boundary, so the drive is strictly T-periodic and one
+static effective model exists.  With K = diag(e^{-i theta n}),
+K^-1 e^{-i tau H} K = e^{-i tau K^-1 H K}, and K^-1 H K carries e^{-i theta} on
+each forward bond and e^{+i theta} on each backward one: the kick-unwind pair
+is the gradient theta held over the quiet tail as a Peierls phase (Goldman
+and Dalibard, PRX 4, 031027, 2014).  :attr:`ModulationProtocol._schedule`
+states it so, and the time average and :func:`rwa_validate` read it there.
 """
 
 from __future__ import annotations
@@ -135,15 +135,16 @@ class ModulationProtocol:
         return complex(self.alpha, self.beta) * self.t1 / 4.0
 
     @property
-    def _schedule(self) -> tuple[tuple[float, float], ...]:
-        """One period of h(t) as (duration, h) pairs: +1 on the first quarter
-        of [0, t1], -1 on its middle half, +1 on its last quarter, 0 after."""
+    def _schedule(self) -> tuple[tuple[float, float, float], ...]:
+        """One period of the drive as (duration, h, gradient) branches: h is +1
+        on the first quarter of [0, t1], -1 on its middle half, +1 on its last
+        quarter and 0 after, where the gradient theta is held."""
         quarter = self.t1 / 4.0
         return (
-            (quarter, 1.0),
-            (2.0 * quarter, -1.0),
-            (quarter, 1.0),
-            (self.period - self.t1, 0.0),
+            (quarter, 1.0, 0.0),
+            (2.0 * quarter, -1.0, 0.0),
+            (quarter, 1.0, 0.0),
+            (self.period - self.t1, 0.0, self.theta),
         )
 
     @classmethod
@@ -172,7 +173,7 @@ def modulation_envelope(protocol: ModulationProtocol, t: float) -> float:
     if tau < 0:
         tau += protocol.period
     end = 0.0
-    for duration, h in protocol._schedule:
+    for duration, h, _ in protocol._schedule:
         end += duration
         if tau < end:
             return h
@@ -183,8 +184,8 @@ def potential(protocol: ModulationProtocol, n: int, t: float) -> complex:
     """Smooth part of V_n(t): (alpha + i beta) h(t) on even sites, 0 on odd.
 
     The delta-kick part is not representable as a function value; it is
-    carried separately by :func:`kick_events` and applied multiplicatively by
-    the simulators (c_n -> e^{-i phase n} c_n at each event).
+    carried separately by :func:`kick_events`, and the propagation holds it as
+    the Peierls phase of the quiet tail (see the module docstring).
     """
     if n % 2 != 0:
         return 0j
@@ -249,39 +250,37 @@ def effective_hopping_quadrature(
 
     Averages kappa exp[i int_0^t dt' (V_n - V_{n+/-1})] over one period, with
     the outer average done by composite Simpson on 4097 samples per branch of
-    h(t).  The inner phase integral w(t) = int h is linear on each branch, so
-    the integrand there is exp(start + k step) in the sample index k, formed
-    from 129 exponentials by :func:`_exp_ramp`.  The kick phase acts only on
-    the quiet tail (h = 0), where w is constant and the integrand is one
-    value, so the three active branches are integrated once and shared by rho
-    and sigma, which differ only in the tail's kick sign.  Both site parities
-    are averaged on their own and must agree to 1e-10 * max(1, |kappa|,
-    |rho|, |sigma|) (the closed forms are parity-free because sinc is even);
-    disagreement flags a quadrature fault.  Once the samples or their sums pass
-    the largest float (near |Im Gamma| = 709 at kappa = 1), a
-    :class:`ComputationError` says so.
+    :attr:`ModulationProtocol._schedule`.  The inner phase integral
+    w(t) = int h is linear on each branch, so the integrand there is
+    exp(start + k step) in the sample index k, formed from 129 exponentials by
+    :func:`_exp_ramp`.  Each branch is summed once and added to rho times its
+    Peierls phase e^{-i gradient} and to sigma times e^{+i gradient}.  Both
+    site parities are averaged on their own and must agree to
+    1e-10 * max(1, |kappa|, |rho|, |sigma|) (the closed forms are parity-free
+    because sinc is even); disagreement flags a quadrature fault.  Once the samples or their sums pass the largest float
+    (near |Im Gamma| = 709 at kappa = 1), a :class:`ComputationError` says so.
 
     This is an independent evaluation route used to cross-check the closed
     forms in :func:`effective_hopping`.
     """
     steps = _SIMPSON_WEIGHTS.size - 1
-    *drive, (tail, _) = protocol._schedule
     results = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
         for parity_sign in (1.0, -1.0):  # even / odd site n
             rate = 1j * parity_sign * protocol.drive_amplitude  # exponent per unit w
-            active = 0j
+            rho = sigma = 0j
             w_start = 0.0
             a = 0.0
-            for duration, h in drive:
+            for duration, h, gradient in protocol._schedule:
                 b = a + duration
-                active += _simpson(_exp_ramp(rate * w_start, rate * h * (b - a) / steps), a, b)
+                branch = _simpson(_exp_ramp(rate * w_start, rate * h * (b - a) / steps), a, b)
+                peierls = cmath.exp(-1j * gradient)
+                rho += branch * peierls
+                sigma += branch * peierls.conjugate()
                 w_start = w_start + h * (b - a)
                 a = b
-            for kick_sign, key in ((-1.0, "rho"), (1.0, "sigma")):
-                quiet = cmath.exp(rate * w_start + 1j * kick_sign * protocol.theta)
-                total = active + _simpson(np.full(steps + 1, quiet), a, a + tail)
-                results[(parity_sign, key)] = kappa * total / protocol.period
+            results[(parity_sign, "rho")] = kappa * rho / protocol.period
+            results[(parity_sign, "sigma")] = kappa * sigma / protocol.period
     if not all(cmath.isfinite(z) for z in results.values()):
         gamma = protocol.gamma
         raise ComputationError(f"the time average overflows at |Im Gamma| = {abs(gamma.imag):.6g}")
@@ -450,14 +449,15 @@ def rwa_validate(
     keeping (theta, x, Gamma) fixed (so alpha, beta grow as 1/T1), and the
     full equations are propagated to t_end, which must be an integer number
     of periods at every ratio.  The generator is constant on each of the four
-    branches of h(t), so each branch is the exact propagator
-    exp(-i span H_branch), built once per ratio and distinct branch by Pade-13
-    scaling and squaring (Higham 2005, :func:`_expm`); the multiplicative kick
-    e^{-i theta n} opens the quiet tail at t1 + mT and e^{+i theta n} unwinds
-    it at each period boundary.  The overflow guard checks the state after
-    every branch.  The result is compared against exp(-i H_eff t_end) c0
-    built from :func:`effective_hopping`; the relative discrepancy decreases
-    with the drive rate as the rotating-wave limit is approached.  The gauge
+    branches of :attr:`ModulationProtocol._schedule`, with hoppings
+    kappa e^{-i g} forward and kappa e^{+i g} backward for the branch's
+    gradient g (exact, see the module docstring), so one period is the
+    product of the branch propagators exp(-i span H_branch), built once per
+    ratio and distinct branch by Pade-13 scaling and squaring (Higham 2005,
+    :func:`_expm`).  The overflow guard checks the state after every branch.
+    The result is compared against exp(-i H_eff t_end) c0 built once from
+    :func:`effective_hopping`; the relative discrepancy decreases with the
+    drive rate as the rotating-wave limit is approached.  The gauge
     c_n -> (-1)^n c_n maps kappa to -kappa, so either sign is admissible.
     With kappa = 0 the ratios set no scale and the protocol's own period is
     used unscaled.
@@ -474,11 +474,12 @@ def rwa_validate(
         raise ValidationError("omega ratios must be positive (fast drive means >= 5)")
     kappa = float(kappa)
     hopping = effective_hopping(protocol, kappa)
-    n_idx = np.arange(sites)
-    kick = np.exp(-1j * protocol.theta * n_idx)
-    unwind = np.exp(1j * protocol.theta * n_idx)
-    even = (n_idx % 2 == 0).astype(float)
     h_eff = _dense(_bands(sites, hopping.rho, hopping.sigma))
+    reference = _checked("effective propagator", _expm, -1j * h_eff * t_end) @ c0.amps
+    scale = float(np.linalg.norm(reference))
+    if scale == 0.0:
+        raise ComputationError("effective evolution annihilated the state")
+    even = (np.arange(sites) % 2 == 0).astype(float)
     samples: list[RwaSample] = []
     for ratio in ratios:
         if kappa != 0.0:
@@ -497,25 +498,20 @@ def rwa_validate(
                 f"at ratio {ratio:g} (T = {period:.6g})"
             )
         propagators = {}  # one per distinct branch: the first and third coincide
-        for span, h_val in dict.fromkeys(scaled._schedule):
-            diag = scaled.drive_amplitude * h_val * even
-            generator = _dense(_bands(sites, kappa, kappa, diag=diag))
-            propagators[span, h_val] = _checked("branch propagator", _expm, -1j * span * generator)
-        branches = [(span, h == 0.0, propagators[span, h]) for span, h in scaled._schedule]
+        for span, h, gradient in dict.fromkeys(scaled._schedule):
+            forward = kappa * cmath.exp(-1j * gradient)
+            diag = scaled.drive_amplitude * h * even
+            generator = _dense(_bands(sites, forward, forward.conjugate(), diag=diag))
+            propagators[span, h, gradient] = _checked(
+                "branch propagator", _expm, -1j * span * generator
+            )
         y = np.asarray(c0.amps, dtype=complex)
         t = 0.0
         for _ in range(m_periods):
-            for span, quiet, propagator in branches:
-                if quiet:  # the gradient kick opens the quiet tail
-                    y = kick * y
-                y = propagator @ y
+            for span, h, gradient in scaled._schedule:
+                y = propagators[span, h, gradient] @ y
                 t += span
                 _guard_overflow(y, t, "shorten t_end or reduce |Im Gamma|")
-            y = unwind * y
-        reference = _checked("effective propagator", _expm, -1j * h_eff * t_end) @ c0.amps
-        scale = float(np.linalg.norm(reference))
-        if scale == 0.0:
-            raise ComputationError("effective evolution annihilated the state")
         discrepancy = float(np.linalg.norm(y - reference) / scale)
         samples.append(
             RwaSample(

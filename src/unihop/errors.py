@@ -53,13 +53,15 @@ class EdgeLeakError(ComputationError):
 
 
 def _checked(what: str, routine, *args, **kwargs):
-    """Call a dense linear-algebra routine; failure or a non-finite result is
-    a :class:`ComputationError` naming ``what``."""
+    """Call a dense linear-algebra routine; failure or a non-finite result
+    (any array of a tuple result) is a :class:`ComputationError` naming
+    ``what``."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
             result = routine(*args, **kwargs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ComputationError(f"{what} failed: {exc}") from exc
-    if not np.all(np.isfinite(result)):
+    arrays = result if isinstance(result, tuple) else (result,)
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ComputationError(f"{what} returned non-finite values")
     return result

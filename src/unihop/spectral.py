@@ -322,10 +322,7 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     entries = np.asarray(h.entries, dtype=complex)
     dim = entries.shape[0]
     scale = float(np.abs(entries).max())
-    try:
-        eigenvalues, vectors = np.linalg.eig(entries)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"eigensolver failed: {exc}") from exc
+    eigenvalues, vectors = _checked("eigensolver", np.linalg.eig, entries)
 
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(eigenvalues / (scale or 1.0), cluster_tol):  # no overflow

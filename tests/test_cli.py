@@ -842,13 +842,6 @@ def _assert_exit_3(code, err, what):
     assert what in err
 
 
-def _failing(exc):
-    def routine(*args):
-        raise exc
-
-    return routine
-
-
 def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
     # a NaN, or a corner bond moved by 1e-6, in the bands that the ring
     # certificate reads (analyze_spectrum builds its own H and is untouched)
@@ -864,6 +857,16 @@ def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
         code, _, err = run(["spectrum", "--geometry", "ring", "--sites", "4"], capsys)
         _assert_exit_3(code, err, "eigenpair certificate failed")
         assert len(err.splitlines()) == 1
+
+
+def test_non_finite_eigensolve_maps_to_exit_3(capsys):
+    # eig overflows on this chain; warnings are errors here, so a raw numpy
+    # RuntimeWarning or the JSON writer meeting -inf fails the test
+    argv = ["spectrum", "--geometry", "chain", "--sites", "8", "--kappa1", "1e308",
+            "--kappa2", "1e308"]
+    code, _, err = run(argv, capsys)
+    _assert_exit_3(code, err, "eigensolver returned non-finite values")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("sites, kappa1", [("64", "1e308"), ("65", "1.5e308+6e307i")])
@@ -902,20 +905,31 @@ def test_floquet_overflow_names_the_exact_route(capsys):
     assert len(err.splitlines()) == 1
 
 
+def _is_effective(matrix):
+    """RWA_ARGV sits on the sigma = 0 root, so -i H_eff t_end is the one
+    generator that hops one way only; every branch generator hops with
+    |kappa| both ways (the quiet tail's with Peierls phases)."""
+    return np.abs(np.diag(matrix, -1)).max() < 1e-9 * np.abs(np.diag(matrix, 1)).max()
+
+
 def test_branch_propagator_failure_maps_to_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(engineering, "_expm", _failing(np.linalg.LinAlgError("singular")))
+    expm = engineering._expm
+
+    def expm_failing_on_branches(matrix):
+        if _is_effective(matrix):
+            return expm(matrix)
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(engineering, "_expm", expm_failing_on_branches)
     code, _, err = run(RWA_ARGV, capsys)
     _assert_exit_3(code, err, "branch propagator failed")
 
 
 def test_non_finite_effective_propagator_maps_to_exit_3(monkeypatch, capsys):
-    # every branch generator hops with kappa both ways; the one non-symmetric
-    # generator is -i H_eff t_end (rho forward, sigma backward), whose expm
-    # here comes back infinite
     expm = engineering._expm
 
     def expm_inf_on_effective(matrix):
-        if not np.array_equal(matrix, matrix.T):
+        if _is_effective(matrix):
             return np.full_like(matrix, np.inf)
         return expm(matrix)
 

@@ -124,6 +124,22 @@ class TestModulationProtocol:
         p = ModulationProtocol(theta=0.3, alpha=1.0, beta=0.0, t1=0.8, period=2.0)
         assert kick_events(p) == ((0.8, 0.3), (2.0, -0.3))
 
+    @pytest.mark.parametrize("theta,t1,period", [(0.3, 0.8, 2.0), (-2.1, 0.37, 0.5)])
+    def test_schedule_holds_the_gradient_between_the_kick_events(self, theta, t1, period):
+        p = ModulationProtocol(theta=theta, alpha=1.0, beta=0.0, t1=t1, period=period)
+        (kick, phase), (unwind, _) = kick_events(p)
+        start, held = 0.0, []
+        for duration, _, gradient in p._schedule:
+            if gradient != 0.0:
+                held.append((start, start + duration, gradient))
+            start += duration
+        assert len(held) == 1
+        begin, end, gradient = held[0]
+        assert begin == pytest.approx(kick, rel=1e-15)
+        assert end == pytest.approx(unwind, rel=1e-15)
+        assert end == pytest.approx(p.period, rel=1e-15)
+        assert gradient == phase == p.theta
+
 
 class TestEffectiveHopping:
     def test_zero_theta_makes_directions_equal(self):
@@ -225,8 +241,8 @@ class TestEffectiveHopping:
         assert abs(quad.rho - closed.rho) <= 1e-9 * abs(closed.rho)
 
     def test_parity_gate_fires_on_a_planted_branch_error(self, monkeypatch):
-        # ten Simpson sums per call: three active branches and two quiet
-        # tails for the even sites, then the same for the odd ones
+        # eight Simpson sums per call: the four branches for the even sites,
+        # then the same for the odd ones; the sixth is an odd-site sum
         protocol = ModulationProtocol.with_shape(0.9, 0.7, 1.2 + 0.5j)
         effective_hopping_quadrature(protocol)
         simpson = engineering._simpson
@@ -240,7 +256,7 @@ class TestEffectiveHopping:
         monkeypatch.setattr(engineering, "_simpson", planted)
         with pytest.raises(ComputationError, match="site-parity averages"):
             effective_hopping_quadrature(protocol)
-        assert len(calls) == 10
+        assert len(calls) == 8
 
     def test_closed_form_gate_fires_on_a_planted_error(self, monkeypatch):
         closed_form = engineering._closed_form_hopping
@@ -261,7 +277,7 @@ class TestEffectiveHopping:
             for parity in (1.0, -1.0):
                 for kick_sign in (-1.0, 1.0):
                     total, w_start, a = 0j, 0.0, 0.0
-                    for duration, h in protocol._schedule:
+                    for duration, h, _ in protocol._schedule:
                         b = a + duration
                         ts = np.linspace(a, b, 4097)
                         kick = kick_sign * protocol.theta * (h == 0.0)
@@ -439,9 +455,49 @@ class TestRwaValidate:
         for a, b in zip(ours, want):
             assert a.discrepancy == pytest.approx(b.discrepancy, rel=1e-12)
 
+    def test_peierls_tail_matches_kick_and_unwind(self):
+        # the exact drive as it is written in the paper: kick K = e^{-i theta n}
+        # before the quiet tail, bare hopping over it, and K^-1 after it
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            sites = int(rng.integers(2, 13))
+            theta = rng.uniform(-np.pi, np.pi)
+            x = rng.uniform(0.2, 0.9)
+            gamma = complex(rng.uniform(-4.0, 4.0), rng.uniform(-1.0, 1.0))
+            kappa = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+            ratios = [1.0, 2.0, 3.0]
+            t_end = 2 * np.pi / abs(kappa)
+            p = ModulationProtocol.with_shape(theta, x, gamma)
+            c0 = StateVector(offset=0, amps=rng.normal(size=sites) + 1j * rng.normal(size=sites))
+            samples = rwa_validate(p, kappa, ratios, sites=sites, c0=c0, t_end=t_end)
+            n = np.arange(sites)
+            k = np.diag(np.exp(-1j * theta * n))
+            k_inv = np.diag(np.exp(1j * theta * n))
+            off = np.full(sites - 1, kappa)
+            hop = np.diag(off, 1) + np.diag(off, -1)
+            hop_eff = effective_hopping(p, kappa)
+            h_eff = (np.diag(np.full(sites - 1, hop_eff.rho), 1)
+                     + np.diag(np.full(sites - 1, hop_eff.sigma), -1))
+            reference = scipy.linalg.expm(-1j * t_end * h_eff) @ c0.amps
+            for ratio, sample in zip(ratios, samples):
+                period = 2 * np.pi / (ratio * abs(kappa))
+                scaled = ModulationProtocol.with_shape(theta, x, gamma, period=period)
+                drive = np.diag(scaled.drive_amplitude * (n % 2 == 0))
+                t1 = scaled.t1
+                one_period = (
+                    k_inv @ scipy.linalg.expm(-1j * (period - t1) * hop) @ k
+                    @ scipy.linalg.expm(-1j * (t1 / 4) * (hop + drive))
+                    @ scipy.linalg.expm(-1j * (t1 / 2) * (hop - drive))
+                    @ scipy.linalg.expm(-1j * (t1 / 4) * (hop + drive))
+                )
+                y = np.linalg.matrix_power(one_period, round(ratio)) @ c0.amps
+                want = np.linalg.norm(y - reference) / np.linalg.norm(reference)
+                assert sample.periods == round(ratio)
+                assert sample.discrepancy == pytest.approx(want, rel=1e-12)
+
     def test_one_expm_per_distinct_branch(self, monkeypatch):
         # the first and third branch are both exp(-i (t1/4) H_+): three
-        # propagators and the reference per ratio, 12 for three ratios
+        # propagators per ratio and the reference once, 10 for three ratios
         calls = []
 
         def counted(matrix):
@@ -452,7 +508,7 @@ class TestRwaValidate:
         p = ModulationProtocol.with_shape(np.pi / 2, 0.8, GAMMA_STAR)
         c0 = StateVector(offset=0, amps=np.eye(10, dtype=complex)[5])
         rwa_validate(p, 1.0, [5.0, 10.0, 20.0], sites=10, c0=c0, t_end=2 * np.pi)
-        assert len(calls) == 12
+        assert len(calls) == 10
 
     @pytest.mark.parametrize("theta,x", [(np.pi / 2, 0.8), (1.1, 0.65)])
     def test_matches_branchwise_rk4(self, theta, x):
