@@ -88,7 +88,8 @@ class SpectrumReport:
     """Eigenvalues, optional eigenvectors, and degeneracy clusters.
 
     ``eigenvectors`` (columns) are present only when the matrix is
-    diagonalizable; a defective matrix has no eigenbasis to report.
+    diagonalizable; a defective matrix has no eigenbasis to report, and
+    :func:`analyze_spectrum` does not solve for one.
     """
 
     eigenvalues: np.ndarray
@@ -223,12 +224,14 @@ def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool, float]:
     Returns (rank, flagged, margin); flagged is True when any singular value
     lands within a factor 10 of tau, i.e. the rank decision is marginal, and
     margin is the smallest retained singular value over sigma_max (0 at rank
-    0).  A matrix the SVD cannot take (non-finite entries from an overflowing
-    power, or a failed convergence) raises :class:`ComputationError`.
+    0).  A zero matrix, such as the vanishing m-th power of a nilpotent
+    cluster, or an empty one is rank 0 with no SVD taken.  A matrix the SVD
+    cannot take (non-finite entries from an overflowing power, or a failed
+    convergence) raises :class:`ComputationError`.
     """
-    sv = _checked("singular value decomposition", np.linalg.svd, matrix, compute_uv=False)
-    if sv.size == 0:
+    if not matrix.any():  # what the SVD gives, tau = 0, without one
         return 0, False, 0.0
+    sv = _checked("singular value decomposition", np.linalg.svd, matrix, compute_uv=False)
     tau = matrix.shape[0] * _EPS * sv[0]
     rank = int(np.count_nonzero(sv > tau))
     flagged = bool(np.any((sv > tau / 10.0) & (sv < tau * 10.0)))
@@ -303,6 +306,25 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: (eigenvalues[g[0]].real, eigenvalues[g[0]].imag))
 
 
+def _clusters(
+    entries: np.ndarray, eigenvalues: np.ndarray, scale: float, cluster_tol: float
+) -> tuple[SpectrumCluster, ...]:
+    """The clusters of ``eigenvalues`` with each one's Jordan blocks."""
+    clusters: list[SpectrumCluster] = []
+    for group in _cluster_indices(eigenvalues / (scale or 1.0), cluster_tol):  # no overflow
+        value = complex(eigenvalues[group].mean())
+        if len(group) == 1:
+            clusters.append(_cluster(value, (1,), scale))
+            continue
+        shifted = entries - value * np.eye(entries.shape[0])
+        peak = float(np.abs(shifted).max())
+        if peak > 0.0:  # unit scale keeps the powers (H - lambda)^k representable
+            shifted = shifted / peak
+        blocks, flagged = _jordan_blocks(shifted, len(group))
+        clusters.append(_cluster(value, blocks, scale, flagged))
+    return tuple(clusters)
+
+
 def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> SpectrumReport:
     """Eigenvalues plus Jordan-structure analysis of degenerate clusters.
 
@@ -316,27 +338,24 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     this, and ``cluster_tol`` must sit above it for the merge to be reliable
     (the default 1e-8 is safe for matrices whose degeneracy is exact in the
     entries, like the truncated unidirectional chain).
+
+    The Jordan analysis runs on eigenvalues alone, so a defective matrix
+    costs no eigenvector solve.  Only a report found not defective solves
+    for the eigenvectors, and then takes its eigenvalues and clusters from
+    that same solve.
     """
     if not cluster_tol > 0:
         raise ValidationError("cluster_tol must be positive")
     entries = np.asarray(h.entries, dtype=complex)
-    dim = entries.shape[0]
     scale = float(np.abs(entries).max())
+    eigenvalues = _checked("eigensolver", np.linalg.eigvals, entries)
+    report = SpectrumReport(eigenvalues, None, _clusters(entries, eigenvalues, scale, cluster_tol))
+    if report.is_defective:
+        return report
     eigenvalues, vectors = _checked("eigensolver", np.linalg.eig, entries)
-
-    clusters: list[SpectrumCluster] = []
-    for group in _cluster_indices(eigenvalues / (scale or 1.0), cluster_tol):  # no overflow
-        value = complex(eigenvalues[group].mean())
-        if len(group) == 1:
-            clusters.append(_cluster(value, (1,), scale))
-            continue
-        shifted = entries - value * np.eye(dim)
-        peak = float(np.abs(shifted).max())
-        if peak > 0.0:  # unit scale keeps the powers (H - lambda)^k representable
-            shifted = shifted / peak
-        blocks, flagged = _jordan_blocks(shifted, len(group))
-        clusters.append(_cluster(value, blocks, scale, flagged))
-    report = SpectrumReport(eigenvalues, vectors, tuple(clusters))
+    report = SpectrumReport(
+        eigenvalues, vectors, _clusters(entries, eigenvalues, scale, cluster_tol)
+    )
     return replace(report, eigenvectors=None) if report.is_defective else report
 
 
@@ -348,7 +367,10 @@ def wannier_stark_states(spec: LatticeSpec, l_range) -> list[WannierStarkState]:
     On the truncated chain the ladder is l = 0..N and the vector stops at
     site 0 exactly; on a windowed infinite chain the factorial tail below the
     window is cut and reported as ``tail_mass`` relative to the exact squared
-    norm I_0(2|kappa1/F|).
+    norm I_0(2|kappa1/F|).  Every state reads a prefix of one kernel
+    z^j / j!, z = kappa1/F, computed once per call.  Ladder indices must be
+    integers (integer-valued floats are accepted); anything else is a
+    :class:`ValidationError`.
     """
     if spec.force == 0.0:
         raise ValidationError(
@@ -367,16 +389,25 @@ def wannier_stark_states(spec: LatticeSpec, l_range) -> list[WannierStarkState]:
     offset = spec.offset
     window = spec.geometry is Geometry.InfiniteChain
     total = float(np.i0(2.0 * abs(z))) if window else 1.0  # the exact squared norm
+    try:
+        indices = np.atleast_1d(np.asarray(l_range, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"ladder indices must be integers: {exc}") from exc
+    whole = np.isfinite(indices) & (indices == np.floor(indices))
+    if not whole.all():
+        bad = float(indices[~whole][0])
+        raise ValidationError(f"ladder indices must be integers, got {bad}")
+    kernel = _factorial_powers(z, dim)  # state l reads its first l - offset + 1 terms
     states: list[WannierStarkState] = []
-    for l in np.atleast_1d(np.asarray(l_range, dtype=int)):
-        l = int(l)
+    for value in indices:
+        l = int(value)
         if spec.geometry is Geometry.FiniteChain and not 0 <= l < dim:
             raise ValidationError(f"ladder index {l} outside the chain 0..{dim - 1}")
         if window and not offset <= l <= offset + dim - 1:
             raise ValidationError(f"ladder index {l} outside the window")
         amps = np.zeros(dim, dtype=complex)
         count = l - offset + 1  # sites offset..l carry weight
-        amps[:count] = _factorial_powers(z, count)[::-1]
+        amps[:count] = kernel[count - 1::-1]
         tail_mass = 0.0
         if window:
             captured = float(np.sum(np.abs(amps[:count]) ** 2))

@@ -288,6 +288,7 @@ class TestAnalyzeSpectrum:
         report = analyze_spectrum(HamiltonianMatrix(entries=np.eye(3, dtype=complex)))
         assert not report.is_defective
         assert len(report.clusters) == 1
+        assert report.eigenvectors is not None
         c = report.clusters[0]
         assert c.value == pytest.approx(1.0)
         assert c.jordan_blocks == (1, 1, 1)
@@ -297,6 +298,41 @@ class TestAnalyzeSpectrum:
         report = analyze_spectrum(HamiltonianMatrix(entries=np.zeros((4, 4), dtype=complex)))
         assert not report.is_defective
         assert report.clusters[0].jordan_blocks == (1, 1, 1, 1)
+
+    def test_defective_report_solves_for_no_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eig called for a defective matrix")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        report = analyze_spectrum(build_hamiltonian(chain(256)))
+        assert [c.jordan_blocks for c in report.clusters] == [(256,)]
+        assert report.eigenvectors is None
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.eye(3, dtype=complex),
+            np.zeros((4, 4), dtype=complex),
+            build_hamiltonian(LatticeSpec(geometry=Geometry.Ring, kappa1=0.0, sites=5)).entries,
+        ],
+        ids=["identity", "zero", "ring-kappa1-0"],
+    )
+    def test_degenerate_diagonalizable_keeps_its_eigenbasis(self, entries):
+        # one cluster of several members, yet no block above size 1: the
+        # report is not defective and must carry its eigenvectors
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert not report.is_defective
+        assert [c.jordan_blocks for c in report.clusters] == [(1,) * entries.shape[0]]
+        v = report.eigenvectors
+        assert v is not None
+        assert np.linalg.norm(entries @ v - v * report.eigenvalues) <= 1e-12
+
+    def test_diagonalizable_report_is_the_direct_eigensolve(self):
+        entries = build_hamiltonian(chain(64, kappa1=0.8 - 0.5j, force=0.6)).entries
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        values, vectors = np.linalg.eig(entries)
+        assert report.eigenvalues.tobytes() == values.tobytes()
+        assert report.eigenvectors.tobytes() == vectors.tobytes()
 
     def test_mixed_block_structure(self):
         # direct sum of a 2-block and a 1-block at 0, plus a simple eigenvalue 3
@@ -420,6 +456,28 @@ class TestJordanShortcut:
             "(rank sequence [4, 3, 2, 1, 1], multiplicity 4)"
         )
         assert len(calls) == 5  # first rank, end rank, then powers 2, 3 and 4
+
+    @pytest.mark.parametrize("dim", [4, 0])
+    def test_zero_matrix_is_ranked_without_an_svd(self, monkeypatch, dim):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert spectral._numerical_rank(np.zeros((dim, dim), dtype=complex)) == (0, False, 0.0)
+
+    def test_chain_takes_one_svd(self, monkeypatch):
+        # the first rank takes an SVD; the 256th power is exactly zero
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = analyze_spectrum(build_hamiltonian(chain(256)))
+        assert [c.jordan_blocks for c in report.clusters] == [(256,)]
+        assert len(calls) == 1
 
     def test_close_distinct_eigenvalues_are_not_one_block(self):
         # the cluster {0, 1e-10, 2e-10} has nullity 1 and its third power ranks
@@ -548,6 +606,49 @@ class TestWannierStark:
         (state_narrow,) = wannier_stark_states(narrow, [0])
         assert state_narrow.tail_mass > state_wide.tail_mass
         assert 0.0 < state_narrow.tail_mass < 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            chain(12, kappa1=0.9 - 1.1j, force=-0.8),
+            chain(12, kappa1=0.9 - 1.1j, force=0.8),
+            LatticeSpec(
+                geometry=Geometry.InfiniteChain, kappa1=-0.4 + 1.3j, force=0.5, window=(-7, 4)
+            ),
+            LatticeSpec(
+                geometry=Geometry.InfiniteChain, kappa1=-0.4 + 1.3j, force=-0.5, window=(-7, 4)
+            ),
+        ],
+        ids=["chain-F<0", "chain-F>0", "window-F>0", "window-F<0"],
+    )
+    def test_amplitudes_are_prefixes_of_one_kernel(self, monkeypatch, spec):
+        calls = []
+        real = spectral._factorial_powers
+
+        def counted(z, count):
+            calls.append(count)
+            return real(z, count)
+
+        monkeypatch.setattr(spectral, "_factorial_powers", counted)
+        indices = spec.site_indices
+        states = wannier_stark_states(spec, indices)
+        assert len(calls) == 1
+        z = spec.kappa1 / spec.force
+        for l, state in zip(indices, states):
+            count = int(l) - spec.offset + 1
+            amps = np.asarray(state.amplitudes.amps)
+            assert amps[:count].tobytes() == real(z, count)[::-1].tobytes()
+            assert not amps[count:].any()
+
+    @pytest.mark.parametrize("l_range", [[1.5, 2.9], [float("nan")], [math.inf], ["one"]])
+    def test_non_integer_ladder_indices_are_rejected(self, l_range):
+        with pytest.raises(ValidationError, match="ladder indices must be integers"):
+            wannier_stark_states(chain(4, force=0.5), l_range)
+
+    def test_integer_valued_float_indices_are_accepted(self):
+        states = wannier_stark_states(chain(4, force=0.5), [2.0, 0.0])
+        assert [s.ladder_index for s in states] == [2, 0]
+        assert [type(s.ladder_index) for s in states] == [int, int]
 
     def test_validations(self):
         with pytest.raises(ValidationError):
