@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolveConfig, StateTrajectory, _evolve, _guard_overflow
+from .dynamics import EvolveConfig, StateTrajectory, _dt_scale, _evolve, _guard_overflow
 from .errors import (
     ComputationError,
     EdgeLeakError,
@@ -48,7 +48,9 @@ from .errors import (
     ValidationError,
     _checked,
 )
-from .lattice import HamiltonianMatrix, StateVector, _bands, _dense
+from .lattice import (
+    Geometry, HamiltonianMatrix, LatticeSpec, StateVector, _bands, _dense, _spec_bands
+)
 
 __all__ = [
     "ModulationProtocol",
@@ -356,6 +358,10 @@ def solve_unidirectional(
     gamma = complex(gamma_guess)
     if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
         raise ValidationError("gamma_guess must be finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1):
+        raise ValidationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
 
     def f(g: complex) -> complex:
         return _closed_form_hopping(theta, x, g, 1.0).sigma
@@ -584,24 +590,25 @@ def laser_effective_couplings(params: LaserParams) -> LaserCouplings:
     )
 
 
-def _laser_bands(params: LaserParams, n_min: int, n_max: int) -> dict[int, np.ndarray]:
-    """Cyclic diagonals of the laser generator over the modes n_min..n_max."""
+def _laser_lattice(params: LaserParams, window: tuple[int, int]) -> tuple[LatticeSpec, dict]:
+    """The forced lattice the laser emulates on the mode window, and the laser
+    generator's cyclic diagonals: the lattice's bands with the gain profile
+    i(gain - loss) - i dg n^2 added to the diagonal."""
     couplings = laser_effective_couplings(params)
-    n = np.arange(n_min, n_max + 1, dtype=float)
-    onsite = (
-        couplings.onsite_force * n
-        + couplings.onsite_uniform
-        + couplings.onsite_curvature * n**2
+    lattice = LatticeSpec(
+        Geometry.InfiniteChain, kappa1=couplings.forward, kappa2=couplings.backward,
+        force=params.detuning, window=window,
     )
-    return _bands(n.size, couplings.forward, couplings.backward, diag=onsite)
+    bands = _spec_bands(lattice)
+    n = lattice.site_indices.astype(float)
+    bands[0] = bands[0] + couplings.onsite_uniform + couplings.onsite_curvature * n**2
+    return lattice, bands
 
 
 def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> HamiltonianMatrix:
     """Dense laser generator over the mode window [n_min, n_max]."""
-    n_min, n_max = int(window[0]), int(window[1])
-    if not n_min < n_max:
-        raise ValidationError("window must satisfy n_min < n_max")
-    return HamiltonianMatrix(entries=_dense(_laser_bands(params, n_min, n_max)), offset=n_min)
+    lattice, bands = _laser_lattice(params, window)
+    return HamiltonianMatrix(entries=_dense(bands), offset=lattice.offset)
 
 
 def laser_evolve(
@@ -621,18 +628,9 @@ def laser_evolve(
     """
     if not 0.0 < edge_tol < 1.0:  # NaN fails too, and would switch the monitor off
         raise ValidationError(f"edge_tol must lie in (0, 1), got {edge_tol!r}")
-    if len(c0) < 2:
-        raise ValidationError("the mode window must span at least 2 modes")
-    window = (c0.offset, c0.offset + len(c0) - 1)
-    extent = float(max(abs(window[0]), abs(window[1])))
-    couplings = laser_effective_couplings(params)
-    scale = max(
-        abs(couplings.forward),
-        abs(couplings.backward),
-        abs(params.detuning) * max(extent, len(c0)),
-        abs(params.gain - params.loss),
-        params.dg * extent**2,
-    )
+    lattice, bands = _laser_lattice(params, (c0.offset, c0.offset + len(c0) - 1))
+    extent = float(np.abs(lattice.site_indices).max())
+    scale = max(_dt_scale(lattice, None), abs(params.gain - params.loss), params.dg * extent**2)
 
     def edge_monitor(t: float, y: np.ndarray) -> None:
         total = float(np.sum(np.abs(y) ** 2))
@@ -645,5 +643,4 @@ def laser_evolve(
                 f"t = {t:.6g} (limit {edge_tol:g}); widen the mode window"
             )
 
-    bands = _laser_bands(params, *window)
     return _evolve(bands, None, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)

@@ -155,8 +155,8 @@ class HamiltonianMatrix:
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValidationError(f"entries must be square, got shape {entries.shape}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
+            raise ValidationError(f"entries must be square and nonempty, got {entries.shape}")
         if not np.all(np.isfinite(entries.view(float))):
             raise ValidationError("Hamiltonian entries must be finite")
         entries.setflags(write=False)

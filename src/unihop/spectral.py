@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,16 +333,17 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     are recovered from the rank sequence of (H - lambda I)^k with numerical
     ranks from singular value decompositions, after dividing H - lambda I by
     its largest entry so that the powers neither underflow nor overflow.
-    Near an exceptional point of order m, backward errors of size eps scatter
-    the eigenvalues over a disk of radius ~ eps^(1/m); the reported ``perturbation_radius`` quantifies
-    this, and ``cluster_tol`` must sit above it for the merge to be reliable
-    (the default 1e-8 is safe for matrices whose degeneracy is exact in the
-    entries, like the truncated unidirectional chain).
+    Near an exceptional point of order m, backward errors of size eps
+    scatter the eigenvalues over a disk of radius ~ eps^(1/m); the reported
+    ``perturbation_radius`` quantifies this, and ``cluster_tol`` must sit
+    above it for the merge to be reliable (the default 1e-8 is safe for
+    matrices whose degeneracy is exact in the entries, like the truncated
+    unidirectional chain).
 
-    The Jordan analysis runs on eigenvalues alone, so a defective matrix
-    costs no eigenvector solve.  Only a report found not defective solves
-    for the eigenvectors, and then takes its eigenvalues and clusters from
-    that same solve.
+    One pass clusters the eigenvalues of ``np.linalg.eigvals`` and finds
+    each cluster's Jordan blocks, so a defective matrix costs no eigenvector
+    solve.  A report found not defective then takes its eigenvalues and
+    eigenvectors from ``np.linalg.eig`` and keeps the clusters of that pass.
     """
     if not cluster_tol > 0:
         raise ValidationError("cluster_tol must be positive")
@@ -353,10 +354,7 @@ def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> Spectru
     if report.is_defective:
         return report
     eigenvalues, vectors = _checked("eigensolver", np.linalg.eig, entries)
-    report = SpectrumReport(
-        eigenvalues, vectors, _clusters(entries, eigenvalues, scale, cluster_tol)
-    )
-    return replace(report, eigenvectors=None) if report.is_defective else report
+    return SpectrumReport(eigenvalues, vectors, report.clusters)
 
 
 def wannier_stark_states(spec: LatticeSpec, l_range) -> list[WannierStarkState]:

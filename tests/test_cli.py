@@ -444,6 +444,22 @@ class TestEngineerCommand:
         assert code == 3
         assert "computation error" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--max-iterations", "-3")],
+    )
+    def test_newton_settings_map_to_exit_2(self, capsys, flag, value):
+        code, out, err = run(
+            [
+                "engineer", "--theta", "1.5707963267948966", "--x", "0.8",
+                "--gamma-guess", "3+0.7i", flag, value,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("validation error: " + flag[2:].replace("-", "_"))
+        assert out == ""
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -611,10 +611,38 @@ def _run_laser(dt):
     laser_evolve(params, gaussian_state(window, 0.0, 2.0), EvolveConfig(t_end=0.5, dt=dt))
 
 
+_FORCED_LASER = LaserParams(
+    gain=0.5, loss=2.0, dg=0.02, delta_am=0.5, delta_fm=0.5, phi=-np.pi / 2, detuning=-0.1
+)
+
+
+def _run_forced_laser(dt):
+    window = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=0j, window=(-10, 10))
+    laser_evolve(_FORCED_LASER, gaussian_state(window, 0.0, 2.0), EvolveConfig(t_end=0.5, dt=dt))
+
+
+def _laser_scale(params, n_min, n_max):
+    """The laser step scale written out term by term over the modes n_min..n_max."""
+    couplings = laser_effective_couplings(params)
+    extent = max(abs(n_min), abs(n_max))
+    return max(
+        abs(couplings.forward),
+        abs(couplings.backward),
+        abs(params.detuning) * max(extent, n_max - n_min + 1),
+        abs(params.gain - params.loss),
+        params.dg * extent**2,
+    )
+
+
 @pytest.mark.parametrize(
     "run, scale",
-    [(_run_rk4, 2.0), (_run_monodromy, 3.0), (_run_laser, 2.0)],
-    ids=["evolve_rk4", "monodromy", "laser_evolve"],
+    [
+        (_run_rk4, 2.0),
+        (_run_monodromy, 3.0),
+        (_run_laser, 2.0),
+        (_run_forced_laser, _laser_scale(_FORCED_LASER, -10, 10)),  # |F| * 21 modes = 2.1
+    ],
+    ids=["evolve_rk4", "monodromy", "laser_evolve", "forced-curved-laser"],
 )
 def test_step_rule_boundary(run, scale):
     # every integrator shares one rule: dt <= 0.05 / scale, sharp at the bound

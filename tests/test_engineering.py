@@ -369,6 +369,25 @@ class TestSolveUnidirectional:
         with pytest.raises(ValidationError):
             solve_unidirectional(np.pi / 2, 0.5, complex("nan"))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"max_iterations": -3},
+            {"max_iterations": 0},
+            {"max_iterations": 2.5},
+        ],
+        ids=["tol-inf", "tol-nan", "tol-negative", "tol-zero", "iterations-negative",
+             "iterations-zero", "iterations-fractional"],
+    )
+    def test_newton_settings_are_checked(self, setting):
+        # an infinite tol would accept the unconverged guess as the root
+        with pytest.raises(ValidationError, match=next(iter(setting))):
+            solve_unidirectional(np.pi / 2, 0.8, 3.0 + 0.7j, **setting)
+
     def test_iteration_budget(self):
         with pytest.raises(RootNotFoundError) as err:
             solve_unidirectional(np.pi / 2, 0.8, 3.0 + 0.7j, max_iterations=1)

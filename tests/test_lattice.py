@@ -145,6 +145,11 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError):
             HamiltonianMatrix(entries=np.array([[np.nan + 0j]]))
 
+    def test_empty_matrix_rejected(self):
+        # a 0x0 matrix has no largest entry for analyze_spectrum to scale by
+        with pytest.raises(ValidationError, match="nonempty"):
+            HamiltonianMatrix(entries=np.zeros((0, 0), dtype=complex))
+
 
 class TestStateVector:
     def test_amplitude_lookup_and_norm(self):

@@ -334,6 +334,27 @@ class TestAnalyzeSpectrum:
         assert report.eigenvalues.tobytes() == values.tobytes()
         assert report.eigenvectors.tobytes() == vectors.tobytes()
 
+    @pytest.mark.parametrize(
+        "entries, jordan",
+        [(build_hamiltonian(chain(64, kappa1=0.8 - 0.5j, force=0.6)).entries, 0), (np.eye(3), 1)],
+        ids=["forced-chain", "identity"],
+    )
+    def test_eigenvalues_are_clustered_once(self, monkeypatch, entries, jordan):
+        # the eigenbasis solve of a diagonalizable report keeps the first
+        # pass's clusters; the identity's one cluster is analyzed once too
+        calls = {"_cluster_indices": 0, "_jordan_blocks": 0}
+        for name in calls:
+            real = getattr(spectral, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert report.eigenvectors is not None
+        assert calls == {"_cluster_indices": 1, "_jordan_blocks": jordan}
+
     def test_mixed_block_structure(self):
         # direct sum of a 2-block and a 1-block at 0, plus a simple eigenvalue 3
         entries = np.zeros((4, 4), dtype=complex)
