@@ -78,8 +78,8 @@ def _load_config(path: str | None) -> dict:
 
 
 def _canon(name: str, kind, value):
-    """Normalize a flag/config value to its canonical JSON-able form.  Config
-    values are checked, not coerced: only a bool is a bool, and ints are integral."""
+    """Normalize a flag/config value to its canonical JSON-able form.  Config values are
+    checked, not coerced: only a bool is a bool, ints are integral, numbers are finite."""
     if value is None:
         return None
     items = value if isinstance(value, list) else [value]
@@ -99,10 +99,6 @@ def _canon(name: str, kind, value):
                     f"{name} must be one of {', '.join(kind[1])}, got {value!r}"
                 )
             return value
-        if kind == "complex":
-            return complex_to_pair(pair_to_complex(value))
-        if kind == "float":
-            return float(value)
         if kind == "int":
             return int(value)
         if kind == "bool":
@@ -112,21 +108,31 @@ def _canon(name: str, kind, value):
             if len(seq) != 2:
                 raise ValidationError(f"{name} needs exactly two integers")
             return seq
-        if kind == "floats":
+        if kind == "str":
+            return str(value)
+        if kind == "complex":
+            number = complex_to_pair(pair_to_complex(value))
+        elif kind in ("float", "fraction"):
+            number = float(value)
+        elif kind == "floats":
             if isinstance(value, str):
                 parts = [p for p in value.replace(" ", "").split(",") if p]
             else:
                 parts = list(value)
             if not parts:
                 raise ValidationError(f"{name} must not be empty")
-            return [float(p) for p in parts]
-        if kind == "str":
-            return str(value)
+            number = [float(p) for p in parts]
+        else:
+            raise AssertionError(f"unknown field kind {kind!r}")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"bad value for {name}: {value!r}") from exc
-    raise AssertionError(f"unknown field kind {kind!r}")
+    if kind == "fraction" and not 0.0 < number < 1.0:  # NaN fails too
+        raise ValidationError(f"{name} must lie in (0, 1), got {number!r}")
+    if not np.isfinite(number).all():
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _resolve(args, fields, preset: dict | None = None) -> dict:
@@ -563,7 +569,7 @@ _LASER_FIELDS = _STATE_FIELDS + (
     ("dt", "float", _REQUIRED),
     ("record_every", "int", 1),
     ("renormalize", "bool", False),
-    ("edge_tol", "float", 1e-6),
+    ("edge_tol", "fraction", 1e-6),
     ("output_prefix", "str", "laser"),
 )
 
@@ -650,6 +656,7 @@ _HELP = {
 _ARGPARSE = {
     "int": {"type": int},
     "float": {"type": float},
+    "fraction": {"type": float},
     "bool": {"action": argparse.BooleanOptionalAction, "default": None},
     "ints2": {"nargs": 2, "type": int, "metavar": ("MIN", "MAX")},
     "complex": {"metavar": "A+BI"},

@@ -226,23 +226,24 @@ _SIMPSON_WEIGHTS = np.ones(4097)  # 1, 4, 2, 4, ..., 2, 4, 1
 _SIMPSON_WEIGHTS[1:-1:2] = 4.0
 _SIMPSON_WEIGHTS[2:-1:2] = 2.0
 _FINE = 64  # the 4096 steps of a branch as 64 coarse steps of 64 fine ones
+_FINE_INDEX = np.arange(_FINE)
 
 
 def _simpson(values: np.ndarray, a: float, b: float) -> complex:
     """Composite Simpson rule over [a, b] for ``values`` sampled at the 4097
     uniform points of ``np.linspace(a, b, 4097)``: h/3 times the weighted sum,
     summed pairwise (a BLAS dot product loses up to 0.06 digits here)."""
-    return (b - a) / (3.0 * (values.size - 1)) * np.sum(_SIMPSON_WEIGHTS * values)
+    return (b - a) / (3.0 * (values.size - 1)) * (_SIMPSON_WEIGHTS * values).sum()
 
 
 def _exp_ramp(start: complex, step: complex) -> np.ndarray:
-    """exp(start + k step) for k = 0..4096 from 129 exponentials: the outer
-    product of e^{start + 64 i step} and e^{j step} (i, j = 0..63) is k = 64 i + j,
-    and the end point k = 4096 is one more."""
-    k = np.arange(_FINE)
-    coarse = np.exp(start + (_FINE * step) * k)
-    fine = np.exp(step * k)
-    return np.append(np.outer(coarse, fine), np.exp(start + (_FINE * _FINE) * step))
+    """exp(start + k step), k = 0..4096, from 129 exponentials in one buffer: k = 64 i + j is
+    e^{start + 64 i step} e^{j step} (i, j = 0..63), and the end point k = 4096 is one more."""
+    ramp = np.empty(_FINE * _FINE + 1, dtype=complex)
+    coarse = np.exp(start + (_FINE * step) * _FINE_INDEX)
+    np.multiply(coarse[:, None], np.exp(step * _FINE_INDEX), out=ramp[:-1].reshape(_FINE, _FINE))
+    ramp[-1] = np.exp(start + (_FINE * _FINE) * step)
+    return ramp
 
 
 def effective_hopping_quadrature(

@@ -224,12 +224,13 @@ def _bands(dim: int, upper, lower, diag=0, wrap: bool = False) -> dict[int, np.n
 def _band_product(a: dict, b: dict) -> dict[int, np.ndarray]:
     """Cyclic diagonals of the product AB: (AB)_{j+k}[i] += A_j[i] B_k[(i+j) % dim].
 
-    Each product is a roll and a multiply, so no dense matrix is formed.
+    Each product is a cyclic shift (two slices) and a multiply, no dense matrix.
     """
     out: dict[int, np.ndarray] = {}
     for j, da in a.items():
         for k, db in b.items():
-            term = da * np.roll(db, -j)
+            s = j % da.size
+            term = da * np.concatenate((db[s:], db[:s]))
             out[j + k] = out[j + k] + term if j + k in out else term
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import unihop
-from unihop import engineering, spectral
+from unihop import engineering, floquet, spectral
 from unihop.cli import main
 
 GAMMA_STAR = 3.0017822918018364 + 0.6994075768635631j
@@ -919,6 +919,55 @@ def test_floquet_overflow_names_the_exact_route(capsys):
     _assert_exit_3(code, err, "amplitude overflow")
     assert "quasi_energies_analytic" in err
     assert len(err.splitlines()) == 1
+
+
+def test_floquet_guard_checks_only_the_final_product(monkeypatch, capsys):
+    # the README ring's running bound stays far below 1e150, so no block is
+    # scanned and the guard sees the one-period product once
+    seen = []
+    guard = floquet._guard_overflow
+
+    def counting_guard(amps, t, remedy):
+        seen.append((amps.copy(), t))
+        return guard(amps, t, remedy)
+
+    monkeypatch.setattr(floquet, "_guard_overflow", counting_guard)
+    code, _, _ = run(["floquet", "--sites", "6"], capsys)
+    assert code == 0
+    assert len(seen) == 1
+    amps, t = seen[0]
+    assert t == pytest.approx(6.0, rel=1e-12)  # one Bloch period
+    pairs = json.loads(Path("floquet.json").read_text())["quasi_energies"]
+    mu = np.array([complex(*z) for z in pairs])  # mu = i log(Lambda) / T_B
+    assert np.max(np.abs(np.exp(-1j * mu * t) - amps)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--geometry", "chain", "--sites", "4", "--cluster-tol", "inf"],
+        ["evolve", "--geometry", "chain", "--sites", "4", "--method", "closed", "--t-end", "inf"],
+        ["bloch", "--geometry", "chain", "--sites", "8", "--force", "0.5", "--periods", "nan"],
+        ["floquet", "--sites", "4", "--phi0-rate", "inf"],
+        ["engineer", "--theta", "1.5", "--x", "0.8", "--gamma-guess", "3+0.7i", "--tol", "inf"],
+        ["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i", "--t-end", "inf"],
+        [
+            "laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-3", "--n-max", "3",
+            "--t-end", "1", "--dt", "0.01", "--center", "nan",
+        ],
+        ["dump-h", "--geometry", "chain", "--sites", "4", "--force", "nan"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("dump", [False, True], ids=["run", "dump-config"])
+def test_non_finite_float_flag_maps_to_exit_2(capsys, tmp_path, argv, dump):
+    # warnings are errors here, so a raw numpy RuntimeWarning fails the test
+    flag = argv[-2][2:].replace("-", "_")
+    code, out, err = run(argv + (["--dump-config", "d.json"] if dump else []), capsys)
+    assert code == 2
+    assert err == f"validation error: {flag} must be finite, got {float(argv[-1])!r}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def _is_effective(matrix):

@@ -26,7 +26,9 @@ from unihop import (
     rhs,
     single_site_state,
 )
+from unihop.dynamics import _increment, _step_count
 from unihop.floquet import _bloch_products
+from unihop.lattice import _spec_bands
 
 
 def ring(sites, kappa1=1.0, kappa2=0j):
@@ -155,6 +157,33 @@ class TestMonodromy:
             monodromy(ring(6, kappa1=1e3), drive, dt=0.05 / 1e3)
         assert "renormalize" not in str(info.value)
         assert "quasi_energies_analytic" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "sites, kappa1, kappa2, phi0_rate",
+        [(6, 1e3, 0j, 1.0), (5, 300 * np.exp(0.7j), 40 - 25j, -1.0)],
+        ids=["unidirectional", "complex-two-way-reversed"],
+    )
+    def test_overflow_abort_is_at_the_first_step_past_the_limit(
+        self, sites, kappa1, kappa2, phi0_rate
+    ):
+        # reference: one cumprod over all steps of the per-step Bloch factors,
+        # each step's max|Lambda_l| scanned
+        drive = FluxDrive(phi0_rate=phi0_rate, sites=sites)
+        spec = ring(sites, kappa1=kappa1, kappa2=kappa2)
+        dt = 0.05 / max(abs(kappa1), abs(kappa2))
+        n_steps = _step_count(drive.period, dt)
+        h = drive.period / n_steps
+        delta = _increment(_spec_bands(spec), drive.force, h)
+        q = 2.0 * np.pi * np.arange(sites) / sites
+        ft = drive.force * h * np.arange(n_steps)[:, None]
+        factors = 1.0 + sum(d[0] * np.exp(1j * m * (ft + q)) for m, d in delta.items())
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = np.abs(np.cumprod(factors, axis=0)).max(axis=1)
+        first = int(np.flatnonzero(~(peaks <= 1e150))[0])
+        with pytest.raises(OverflowAbort) as info:
+            monodromy(spec, drive, dt=dt)
+        assert f"at t = {(first + 1) * h:.6g};" in str(info.value)
+        assert 0 < first < n_steps - 1
 
     def test_collapse_is_a_full_period_effect(self):
         drive = FluxDrive(phi0_rate=1.0, sites=4)

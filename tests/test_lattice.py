@@ -13,6 +13,7 @@ from unihop import (
     hop_parts,
     rhs,
 )
+from unihop.lattice import _band_product
 
 
 def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
@@ -245,3 +246,22 @@ class TestRhs:
             rhs(spec, 0.0, StateVector(offset=0, amps=np.zeros(4, dtype=complex)))
         with pytest.raises(ValidationError):
             rhs(spec, 0.0, StateVector(offset=1, amps=np.zeros(3, dtype=complex)))
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_band_product_matches_the_roll_formula_bitwise(dim):
+    # offsets -4..4 reach past dim, so the cyclic shift must wrap them
+    rng = np.random.default_rng(dim)
+
+    def bands():
+        return {k: rng.normal(size=dim) + 1j * rng.normal(size=dim) for k in range(-4, 5)}
+
+    a, b = bands(), bands()
+    want = {}
+    for j, da in a.items():
+        for k, db in b.items():
+            term = da * np.roll(db, -j)
+            want[j + k] = want[j + k] + term if j + k in want else term
+    got = _band_product(a, b)
+    assert sorted(got) == sorted(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
