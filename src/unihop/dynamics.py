@@ -20,9 +20,9 @@ size h from t is multiplication by a matrix P(t) = I + Delta(t).  H is
 tridiagonal, and on the flux ring its diagonal k carries e^{ikFt}, so Delta
 has at most nine cyclic diagonals and diagonal m of Delta(t) is a constant
 band times e^{imFt} (a static H is the case F = 0).  Every RK4 path, the
-static and flux evolutions, the laser and the flux-ring monodromy, builds
-those bands once with :func:`_increment` and takes each step as one O(N)
-gather-and-sum.
+static and flux evolutions, the laser and the flux-ring monodromy, takes its
+step rule, step count, bands and growth bound from one :func:`_rk4_plan` and
+each step as one O(N) gather-and-sum.
 """
 
 from __future__ import annotations
@@ -298,22 +298,6 @@ def _dt_scale(spec: LatticeSpec, flux_rate: float | None) -> float:
     return scale
 
 
-def _require_resolved(dt: float, scale: float, what: str) -> None:
-    """The RK4 step rule: dt <= 0.05 / scale, with ``scale`` the fastest rate."""
-    if scale > 0 and dt > 0.05 / scale * (1.0 + 1e-12):
-        raise ValidationError(
-            f"dt = {dt:.3g} does not resolve {what} (need dt <= {0.05 / scale:.3g})"
-        )
-
-
-def _step_count(t_end: float, dt: float) -> int:
-    """The RK4 step count n = ceil(t_end / dt): h = t_end / n <= dt lands on t_end."""
-    steps = t_end / dt * (1.0 - 1e-12)
-    if not math.isfinite(steps):
-        raise ValidationError(f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take")
-    return max(1, math.ceil(steps))
-
-
 def _increment(bands: dict, rate: float | None, h: float) -> dict[int, np.ndarray]:
     """Cyclic diagonals of one RK4 step's increment Delta = P - I, the
     single place the four stages are written out.
@@ -349,6 +333,30 @@ def _increment(bands: dict, rate: float | None, h: float) -> dict[int, np.ndarra
     }
 
 
+def _rk4_plan(bands: dict, rate: float | None, t_end: float, dt: float, scale: float, what: str):
+    """The plan of every RK4 run: (n_steps, h, Delta, growth).
+
+    The step rule is dt <= 0.05 / ``scale``, the fastest rate (``what`` names
+    it); n_steps = ceil(t_end / dt) uniform steps h = t_end / n_steps <= dt
+    land on t_end; Delta are the bands of :func:`_increment` at h.  Peierls
+    phases have modulus 1, so max|(I + Delta(t)) y| <= growth max|y| at every
+    t, with growth (a numpy float: a huge power is inf) the largest row sum
+    |1 + Delta_0| + sum_{m != 0} |Delta_m| times 1 + 1e-12 for rounding.
+    """
+    if scale > 0 and dt > 0.05 / scale * (1.0 + 1e-12):
+        raise ValidationError(
+            f"dt = {dt:.3g} does not resolve {what} (need dt <= {0.05 / scale:.3g})"
+        )
+    steps = t_end / dt * (1.0 - 1e-12)
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take")
+    n_steps = max(1, math.ceil(steps))
+    h = t_end / n_steps
+    delta = _increment(bands, rate, h)
+    rows = sum(np.abs(d) for m, d in delta.items() if m != 0) + np.abs(delta[0] + 1.0)
+    return n_steps, h, delta, (1.0 + 1e-12) * rows.max()
+
+
 def _evolve(
     bands: dict, rate: float | None, c0: StateVector, cfg: EvolveConfig,
     scale: float, what: str, step_hook=None,
@@ -356,10 +364,10 @@ def _evolve(
     """Fixed-step RK4 of dc/dt = -i H(t) c from c0, landing exactly on t_end.
 
     H(t) has the cyclic diagonals ``bands``, diagonal k phased by e^{ikFt}
-    with ``rate`` = F (static for None).  The state must be nonzero and dt
-    must pass the step rule for ``scale`` (``what`` names it).  The step
-    matrix I + Delta of :func:`_increment` is built once, with I folded into
-    offset 0 (phase 1), so each step is one gather-and-sum at t_n.  Without
+    with ``rate`` = F (static for None).  The state must be nonzero; the step
+    rule (``scale``, ``what``), steps, increment and growth bound come from
+    :func:`_rk4_plan`, and I + Delta is built once, with I folded into offset
+    0 (phase 1), so each step is one gather-and-sum at t_n.  Without
     ``renormalize`` the overflow guard aborts once max|c| exceeds 1e150
     (secular non-Hermitian growth is physical) and names that option.
     ``step_hook``, when given, is called with (t, y) after every step.
@@ -369,17 +377,11 @@ def _evolve(
     y0 = np.asarray(c0.amps)
     if cfg.t_end == 0.0:
         return _observables(np.zeros(1), y0[None, :], c0.offset, y0, None, cfg.renormalize)
-    _require_resolved(cfg.dt, scale, what)
-    n_steps = _step_count(cfg.t_end, cfg.dt)
-    h = cfg.t_end / n_steps
-    step_bands = _increment(bands, rate, h)
-    step_bands[0] = step_bands[0] + 1.0
-    advance = _band_apply(step_bands, rate)
-    # Peierls phases have modulus 1, so max|P(t) y| <= max|y| times the largest
-    # row sum of |step_bands| (1 + 1e-12 covers rounding).  The guard measures
-    # max|c| only once this running bound on it could pass the limit (a finite
-    # bound rules out inf and NaN too) and restarts the bound from that peak.
-    growth = (1.0 + 1e-12) * float(np.abs(np.stack(list(step_bands.values()))).sum(0).max())
+    n_steps, h, delta, growth = _rk4_plan(bands, rate, cfg.t_end, cfg.dt, scale, what)
+    advance = _band_apply({**delta, 0: delta[0] + 1.0}, rate)
+    # The guard measures max|c| only once the running bound growth^n on it
+    # could pass the limit (a finite bound rules out inf and NaN too) and
+    # restarts the bound from that peak.
     bound = float(np.abs(y0).max())
     y, log_scale = y0, 0.0
     rec_times, rec_states, rec_logs = [0.0], [y0], [0.0]

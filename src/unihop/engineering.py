@@ -49,7 +49,8 @@ from .errors import (
     _checked,
 )
 from .lattice import (
-    Geometry, HamiltonianMatrix, LatticeSpec, StateVector, _bands, _dense, _spec_bands
+    Geometry, HamiltonianMatrix, LatticeSpec, StateVector, _bands, _dense, _require_finite_real,
+    _spec_bands,
 )
 
 __all__ = [
@@ -266,6 +267,7 @@ def effective_hopping_quadrature(
     This is an independent evaluation route used to cross-check the closed
     forms in :func:`effective_hopping`.
     """
+    kappa = _require_finite_real("kappa", kappa)
     steps = _SIMPSON_WEIGHTS.size - 1
     results = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
@@ -309,6 +311,7 @@ def effective_hopping(protocol: ModulationProtocol, kappa: float = 1.0) -> Effec
     1e-8 * max(1, |kappa|, |rho|, |sigma|): rho grows like e^{|Im Gamma|}, so
     the gate is relative to the size of the result.
     """
+    kappa = _require_finite_real("kappa", kappa)
     closed = _closed_form_hopping(protocol.theta, protocol.x, protocol.gamma, kappa)
     quad = effective_hopping_quadrature(protocol, kappa)
     tol = 1e-8 * max(1.0, abs(kappa), abs(closed.rho), abs(closed.sigma))
@@ -469,6 +472,7 @@ def rwa_validate(
     With kappa = 0 the ratios set no scale and the protocol's own period is
     used unscaled.
     """
+    t_end = _require_finite_real("t_end", t_end)
     if int(sites) != sites or sites < 2:
         raise ValidationError("need an integer sites >= 2")
     sites = int(sites)

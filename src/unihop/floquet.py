@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _OVERFLOW_LIMIT,
-    _dt_scale,
-    _guard_overflow,
-    _increment,
-    _require_resolved,
-    _step_count,
-)
+from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _rk4_plan
 from .errors import ComputationError, ValidationError
 from .lattice import Geometry, LatticeSpec, _require_finite_complex, _spec_bands
 
@@ -128,18 +121,18 @@ def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> 
     """RK4 on each Bloch mode q_l = 2 pi l / N of the flux ring, from 1: Lambda_l(t_end).
 
     The ring's cyclic diagonals are constant, so the RK4 step at t_n multiplies mode q_l by
-    1 + sum_m Delta_m e^{imF t_n} e^{im q_l} (Delta_m: the diagonals of :func:`_increment`);
-    per block: phases from cos and sin (half a complex exp's cost), factors from one ``einsum``
-    (no BLAS threads), Lambda_l from one ``cumprod``.  As |factor| <= 1 + sum |Delta_m|, the
-    guard scans a block only once that bound could pass 1e150; it checks the final product.
+    1 + sum_m Delta_m e^{imF t_n} e^{im q_l}, with the step rule, steps, Delta_m and growth
+    bound from :func:`_rk4_plan`; per block: phases from cos and sin (half a complex exp's
+    cost), factors from one ``einsum`` (no BLAS threads), Lambda_l from one ``cumprod``.
+    Delta_0 carries no phase, so |factor| <= growth, and the guard scans a block only once
+    growth^n could pass 1e150; it checks the final product.
     """
-    n_steps = _step_count(t_end, dt)
-    h = t_end / n_steps
-    delta = _increment(_spec_bands(spec), rate, h)
+    n_steps, h, delta, growth = _rk4_plan(
+        _spec_bands(spec), rate, t_end, dt, _dt_scale(spec, rate), "the drive"
+    )
     orders = np.array([m for m in sorted(delta) if np.any(delta[m])])
     weights = np.array([delta[m][0] for m in orders])
     waves = np.exp(1j * orders[:, None] * (2.0 * np.pi * np.arange(spec.dim) / spec.dim))
-    growth = (1.0 + 1e-12) * (1.0 + np.abs(weights).sum())  # numpy: a huge power is inf
     block = max(1, 2**14 // spec.dim)
     product, bound = np.ones(spec.dim, dtype=complex), 1.0
     for start in range(0, n_steps, block):
@@ -166,9 +159,10 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
     H(t) = kappa1 e^{iFt} (forward bonds) + kappa2 e^{-iFt} (backward bonds);
     kappa2 = conj(kappa1) is the unitary Hermitian comparison.  Without a
     Stark term every H(t) is circulant, so one period of RK4 multiplies Bloch
-    mode q_l by Lambda_l (:func:`_bloch_products`).  M is the circulant matrix
-    of ifft(Lambda), and mu_l = i log(Lambda_l) / T_B on the principal branch,
-    folded into (-|F|/2, |F|/2], in the q order of :func:`quasi_energies_analytic`.
+    mode q_l by Lambda_l (:func:`_bloch_products`, with the step rule for the
+    drive).  M is the circulant matrix of ifft(Lambda), and mu_l = i
+    log(Lambda_l) / T_B on the principal branch, folded into (-|F|/2, |F|/2],
+    in the q order of :func:`quasi_energies_analytic`.
     """
     if spec.geometry is not Geometry.Ring:
         raise ValidationError("monodromy requires Ring geometry")
@@ -178,8 +172,6 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
         raise ValidationError("the ring flux supplies the force; set spec.force = 0")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("dt must be positive and finite")
-    _require_resolved(dt, _dt_scale(spec, drive.force), "the drive")
-
     products = _bloch_products(spec, drive.force, drive.period, dt)
     if np.any(np.abs(products) < 1e-300):
         raise ComputationError("monodromy is numerically singular")

@@ -83,9 +83,9 @@ class LatticeSpec:
     force:
         dc force F per site; adds the Stark diagonal F*n.
     sites:
-        Number of sites N+1 for FiniteChain/Ring; ignored for InfiniteChain.
+        Number of sites N+1 for FiniteChain/Ring; refused for InfiniteChain.
     window:
-        (n_min, n_max) inclusive site window for InfiniteChain.
+        (n_min, n_max) inclusive site window for InfiniteChain only.
     """
 
     geometry: Geometry
@@ -102,6 +102,8 @@ class LatticeSpec:
         if self.geometry is Geometry.InfiniteChain:
             if self.window is None:
                 raise ValidationError("InfiniteChain requires a (n_min, n_max) window")
+            if self.sites is not None:
+                raise ValidationError("InfiniteChain takes a window, not a site count")
             n_min, n_max = self.window
             if int(n_min) != n_min or int(n_max) != n_max:
                 raise ValidationError("window bounds must be integers")
@@ -113,6 +115,8 @@ class LatticeSpec:
         else:
             if self.sites is None:
                 raise ValidationError(f"{self.geometry.name} requires a site count")
+            if self.window is not None:
+                raise ValidationError(f"{self.geometry.name} takes a site count, not a window")
             minimum = 2 if self.geometry is Geometry.Ring else 1
             if int(self.sites) != self.sites or self.sites < minimum:
                 raise ValidationError(

@@ -657,6 +657,23 @@ class TestExitCodes:
         assert "validation error" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--geometry", "chain", "--sites", "4", "--window", "0", "5"],
+             "FiniteChain takes a site count, not a window"),
+            (["--geometry", "infinite", "--window", "0", "3", "--sites", "99"],
+             "InfiniteChain takes a window, not a site count"),
+        ],
+        ids=["chain-window", "infinite-sites"],
+    )
+    def test_flag_the_geometry_ignores_is_refused(self, capsys, tmp_path, argv, message):
+        code, out, err = run(["spectrum"] + argv, capsys)
+        assert code == 2
+        assert err == f"validation error: {message}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "1"],

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from scipy.special import i0
 
 import unihop.dynamics as dynamics
+import unihop.engineering as engineering
 from unihop import (
     EvolveConfig,
     Geometry,
@@ -29,7 +30,7 @@ from unihop import (
     rhs,
     single_site_state,
 )
-from unihop.lattice import _spec_bands
+from unihop.lattice import _band_apply, _dense, _spec_bands
 
 
 def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
@@ -493,6 +494,37 @@ class TestBandedStep:
         got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=0.5).amps[-1]
         want = _staged_dense_step(lambda t: h_dense, 0.0, h, np.asarray(c0.amps))
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["chain", "window", "flux-ring", "laser"])
+    def test_rk4_plan_lands_on_t_end_and_bounds_every_step(self, case):
+        # n * h is t_end, and max|(I + Delta(t)) y| <= growth max|y| at any
+        # t; a unit vector phased against the largest row reaches the bound
+        rate = -1.1 if case == "flux-ring" else None
+        if case == "laser":
+            bands = engineering._laser_lattice(_FORCED_LASER, (-6, 8))[1]
+            scale = _laser_scale(_FORCED_LASER, -6, 8)
+        else:
+            spec = {
+                "chain": chain(12, kappa1=0.9 + 0.4j, kappa2=-0.3 + 0.5j, force=0.25),
+                "window": _window((-7, 5), kappa1=0.8 - 0.6j, kappa2=0.2j, force=-0.6),
+                "flux-ring": _flux_ring(10),
+            }[case]
+            bands, scale = _spec_bands(spec), dynamics._dt_scale(spec, rate)
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            t_end, dt = rng.uniform(0.1, 5.0), 0.05 / scale * rng.uniform(0.05, 1.0)
+            n, h, delta, growth = dynamics._rk4_plan(bands, rate, t_end, dt, scale, "it")
+            assert abs(n * h - t_end) <= 2 * np.finfo(float).eps * t_end
+            assert (n - 1) * dt < t_end and h <= dt * (1.0 + 1e-12)
+            step = _band_apply({**delta, 0: delta[0] + 1.0}, rate)
+            t = rng.uniform(0.0, t_end)
+            y = rng.normal(size=bands[0].size) + 1j * rng.normal(size=bands[0].size)
+            assert np.abs(step(t, y)).max() <= growth * np.abs(y).max()
+            phased = {k: np.exp(1j * k * (rate or 0.0) * t) * d for k, d in delta.items()}
+            matrix = _dense({**phased, 0: phased[0] + 1.0})
+            row = np.abs(matrix).sum(1).argmax()
+            worst = np.abs(step(t, np.exp(-1j * np.angle(matrix[row])))).max()
+            assert growth / (1.0 + 2e-12) <= worst <= growth
 
     def test_sites_above_support_stay_exactly_zero(self):
         # kappa2 = 0 moves amplitude only toward lower n, and the cyclic gather

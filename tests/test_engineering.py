@@ -1,6 +1,7 @@
 """Modulation protocol, effective hopping synthesis, RWA checks, laser map."""
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -229,6 +230,14 @@ class TestEffectiveHopping:
             warnings.simplefilter("error")
             with pytest.raises(ComputationError, match=r"\|Im Gamma\| = 800"):
                 effective_hopping_quadrature(p, kappa)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    @pytest.mark.parametrize("route", [effective_hopping, effective_hopping_quadrature])
+    def test_non_finite_kappa_is_a_validation_error(self, route, kappa):
+        # |Im Gamma| = 0.7 is harmless: the cause is kappa, not the time average
+        p = ModulationProtocol.with_shape(1.5, 0.8, 3 + 0.7j)
+        with pytest.raises(ValidationError, match=f"kappa must be finite, got {kappa!r}"):
+            route(p, kappa)
 
     @pytest.mark.parametrize("b", [12.0, 15.0, 20.0, 30.0])
     def test_gates_are_relative_at_large_im_gamma(self, b):
@@ -607,6 +616,9 @@ class TestRwaValidate:
         zero = StateVector(offset=0, amps=np.zeros(4, dtype=complex))
         with pytest.raises(ValidationError):
             rwa_validate(p, 1.0, [5.0], sites=4, c0=zero, t_end=2 * np.pi)
+        for t_end in (math.inf, math.nan):  # the input is at fault: no RuntimeWarning or exit 3
+            with pytest.raises(ValidationError, match=f"t_end must be finite, got {t_end!r}"):
+                rwa_validate(p, 1.0, [5.0], sites=4, c0=c0, t_end=t_end)
 
 
 class TestLaserMapping:

@@ -26,7 +26,7 @@ from unihop import (
     rhs,
     single_site_state,
 )
-from unihop.dynamics import _increment, _step_count
+from unihop.dynamics import _dt_scale, _increment, _rk4_plan
 from unihop.floquet import _bloch_products
 from unihop.lattice import _spec_bands
 
@@ -171,7 +171,9 @@ class TestMonodromy:
         drive = FluxDrive(phi0_rate=phi0_rate, sites=sites)
         spec = ring(sites, kappa1=kappa1, kappa2=kappa2)
         dt = 0.05 / max(abs(kappa1), abs(kappa2))
-        n_steps = _step_count(drive.period, dt)
+        n_steps = _rk4_plan(
+            _spec_bands(spec), drive.force, drive.period, dt, _dt_scale(spec, drive.force), "it"
+        )[0]
         h = drive.period / n_steps
         delta = _increment(_spec_bands(spec), drive.force, h)
         q = 2.0 * np.pi * np.arange(sites) / sites

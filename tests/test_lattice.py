@@ -69,6 +69,9 @@ class TestGeometryAndSpec:
             dict(geometry=Geometry.FiniteChain, kappa1=float("nan"), sites=3),
             dict(geometry=Geometry.FiniteChain, kappa1=1.0, force=float("inf"), sites=3),
             dict(geometry=Geometry.FiniteChain, kappa1=complex("inf"), sites=3),
+            dict(geometry=Geometry.FiniteChain, kappa1=1.0, sites=4, window=(0, 5)),
+            dict(geometry=Geometry.Ring, kappa1=1.0, sites=4, window=(0, 3)),
+            dict(geometry=Geometry.InfiniteChain, kappa1=1.0, sites=99, window=(0, 3)),
         ],
     )
     def test_invalid_specs(self, bad):
