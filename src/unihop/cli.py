@@ -246,7 +246,6 @@ def _period_step(period: float, resolved: dict) -> float:
 # spectrum
 
 _SPECTRUM_FIELDS = _LATTICE_FIELDS + (
-    ("cluster_tol", "float", 1e-8),
     ("vectors", "bool", False),
     ("output", "str", "spectrum.json"),
 )
@@ -258,7 +257,7 @@ def _cmd_spectrum(args) -> int:
     if _maybe_dump(args, resolved, "spectrum"):
         return 0
     h = build_hamiltonian(spec)
-    report = analyze_spectrum(h, cluster_tol=resolved["cluster_tol"])
+    report = analyze_spectrum(h)
     ring_check = None
     if spec.geometry is Geometry.Ring and spec.force == 0.0 and spec.kappa2 == 0j:
         ring_spectrum(spec)  # raises when the closed form fails its certificate
@@ -638,7 +637,6 @@ _HELP = {
     "site": "site of the single-site excitation",
     "center": "gaussian center (may be fractional)",
     "width": "gaussian width w in exp[-(n-c)^2/w^2]",
-    "cluster_tol": "relative eigenvalue cluster tolerance",
     "samples": "recorded times for the closed form",
     "flux_rate": "ring Peierls phase rate F",
     "periods": "duration in Bloch periods",

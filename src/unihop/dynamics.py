@@ -145,12 +145,20 @@ def gaussian_state(spec: LatticeSpec, center: float, width: float) -> StateVecto
     """Gaussian wavepacket c_n = exp[-(n-center)^2 / width^2] (unnormalized).
 
     The width convention divides by width^2 (not 2 width^2); the center may
-    fall between sites.
+    fall between sites.  The exponent is ((n - center) / width)^2, so a
+    width whose square underflows still peaks at 1 on a site at the center;
+    a width so narrow that every amplitude underflows to 0 is refused.
     """
     if not (math.isfinite(center) and math.isfinite(width)) or width <= 0:
         raise ValidationError("gaussian needs finite center and positive width")
     n = spec.site_indices.astype(float)
-    amps = np.exp(-((n - center) ** 2) / width**2).astype(complex)
+    with np.errstate(over="ignore"):  # an overflowing ratio gives amplitude exp(-inf) = 0
+        amps = np.exp(-(((n - center) / width) ** 2)).astype(complex)
+    if not amps.any():
+        raise ValidationError(
+            f"width = {width!r} is too narrow for the gaussian at center {center!r}: "
+            "every amplitude underflows to 0"
+        )
     return StateVector(offset=spec.offset, amps=amps)
 
 

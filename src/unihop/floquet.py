@@ -57,6 +57,11 @@ class FluxDrive:
         if int(self.sites) != self.sites or self.sites < 2:
             raise ValidationError("a ring needs an integer sites >= 2")
         object.__setattr__(self, "sites", int(self.sites))
+        if not (math.isfinite(self.force) and self.force != 0.0 and math.isfinite(self.period)):
+            raise ValidationError(
+                f"phi0_rate = {self.phi0_rate!r} gives the force 2 pi phi0_rate / sites = "
+                f"{self.force!r}; it and the Bloch period must be finite and nonzero"
+            )
 
     @property
     def force(self) -> float:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_DELTA = 1e-8  # the one relative scale of clustering and of every rank threshold
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ class SpectrumCluster:
     exceptional point sitting at ``value`` (1 for a diagonalizable cluster).
     ``perturbation_radius`` is the heuristic scatter radius
     scale * eps^(1/ep_order) within which machine-precision perturbations
-    smear the degenerate eigenvalues; use it to judge whether a clustering
-    tolerance was adequate.  ``rank_flagged``
-    marks rank decisions where singular values fell within a factor 10 of
-    the truncation threshold.
+    smear the degenerate eigenvalues; where it exceeds the clustering
+    distance of :func:`analyze_spectrum`, such an exceptional point comes
+    out split into several clusters.  ``rank_flagged`` marks rank decisions
+    where singular values fell within a factor 10 of the threshold.
     """
 
     value: complex
@@ -218,71 +219,66 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
 
 
-def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool, float]:
-    """Rank by SVD with threshold tau = dim * eps * sigma_max.
+def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
+    """Rank by SVD: the count of singular values above ``_DELTA``.
 
-    Returns (rank, flagged, margin); flagged is True when any singular value
-    lands within a factor 10 of tau, i.e. the rank decision is marginal, and
-    margin is the smallest retained singular value over sigma_max (0 at rank
-    0).  A zero matrix, such as the vanishing m-th power of a nilpotent
-    cluster, or an empty one is rank 0 with no SVD taken.  A matrix the SVD
-    cannot take (non-finite entries from an overflowing power, or a failed
-    convergence) raises :class:`ComputationError`.
+    Returns (rank, flagged); flagged is True when any singular value lands
+    within a factor 10 of the threshold, i.e. the rank decision is marginal.
+    A zero matrix or an empty one is rank 0 with no SVD taken.  A matrix the
+    SVD cannot take (a failed convergence) raises :class:`ComputationError`.
     """
-    if not matrix.any():  # what the SVD gives, tau = 0, without one
-        return 0, False, 0.0
+    if not matrix.any():  # what the SVD gives without one
+        return 0, False
     sv = _checked("singular value decomposition", np.linalg.svd, matrix, compute_uv=False)
-    tau = matrix.shape[0] * _EPS * sv[0]
-    rank = int(np.count_nonzero(sv > tau))
-    flagged = bool(np.any((sv > tau / 10.0) & (sv < tau * 10.0)))
-    return rank, flagged, float(sv[rank - 1] / sv[0]) if rank else 0.0
+    return _rank_of(sv)
+
+
+def _rank_of(sv: np.ndarray) -> tuple[int, bool]:
+    """(rank, flagged) of singular values ``sv`` at the threshold ``_DELTA``."""
+    rank = int(np.count_nonzero(sv > _DELTA))
+    return rank, bool(np.any((sv > _DELTA / 10.0) & (sv < _DELTA * 10.0)))
 
 
 def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, ...], bool]:
-    """Block sizes for one eigenvalue from the rank sequence of powers.
+    """Block sizes for one eigenvalue from A = (H - lambda I) / s.
 
-    With r_k = rank((H - lambda I)^k), the count of blocks of size >= k is
-    d_k = r_{k-1} - r_k, so the number of blocks of size exactly k is
-    d_k - d_{k+1} (Weyr characteristic).
-
-    The counts never increase, so a nullity d_1 = 1 means a single block, of
-    size m exactly when r_m = dim - m; that case takes one more SVD, of the
-    m-th power formed by repeated squaring, instead of m - 1 more.  It is
-    taken only when both rank decisions are clear and margin^m > 10 dim eps:
-    by Horn's inequality sigma_{dim-k}(A^k) >= sigma_{dim-1}(A)^k, no power
-    up to the m-th can then lose more than one rank per step, so a cluster of
-    close but distinct eigenvalues is not read as one block.  Every other
-    case ranks the powers one by one.
+    Every rank is taken at the one threshold ``_DELTA`` that also clusters
+    the eigenvalues, never relative to the matrix being ranked.  The nullity
+    d_1 of A is the number of blocks, so d_1 = m gives m blocks of size 1
+    and d_1 = 1 one block of size m, each from a single SVD.  Only
+    1 < d_1 < m runs the Kagstrom-Ruhe staircase: with the columns of V an
+    orthonormal basis of the complement of the null space of A, the
+    nullity of V^H A V is d_2, the count of blocks of size >= 2, and so on
+    down the compressed matrices; the number of blocks of size exactly k is
+    d_k - d_{k+1} (Weyr characteristic).  No power of A is formed, so an
+    eigenvalue outside the cluster keeps its distance from the cluster and
+    is never counted as null.  Block sizes that do not sum to m are a
+    :class:`ComputationError`.
     """
     dim = shifted.shape[0]
-    first, flagged, margin = _numerical_rank(shifted)
-    single = dim - first == 1 and multiplicity > 1 and not flagged
-    if single and margin**multiplicity > 10.0 * dim * _EPS:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite falls through
-            power = np.linalg.matrix_power(shifted, multiplicity)
-        if np.all(np.isfinite(power)):
-            last, flag, _ = _numerical_rank(power)
-            if last == dim - multiplicity and not flag:
-                return (multiplicity,), False
-    ranks = [dim, first]
-    power = shifted
-    # until the rank stabilizes (largest block reached) or m powers are ranked
-    while ranks[-1] != ranks[-2] and len(ranks) <= multiplicity:
-        power = power @ shifted
-        rank, flag, _ = _numerical_rank(power)
+    rank, flagged = _numerical_rank(shifted)
+    if dim - rank == multiplicity:
+        return (1,) * multiplicity, flagged
+    if dim - rank == 1:
+        return (multiplicity,), flagged
+    nullities, block = [], shifted
+    while sum(nullities) < multiplicity:
+        _, sv, vh = _checked("singular value decomposition", np.linalg.svd, block)
+        rank, flag = _rank_of(sv)
         flagged = flagged or flag
-        ranks.append(rank)
-    deficits = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-    deficits.append(0)
+        nullities.append(block.shape[0] - rank)
+        if not nullities[-1]:
+            break
+        block = vh[:rank] @ block @ vh[:rank].conj().T
+    nullities.append(0)
     blocks: list[int] = []
-    for k in range(1, len(deficits)):
-        blocks.extend([k] * (deficits[k - 1] - deficits[k]))
+    for k in range(1, len(nullities)):
+        blocks.extend([k] * (nullities[k - 1] - nullities[k]))
     blocks.sort(reverse=True)
     if sum(blocks) != multiplicity:
         raise ComputationError(
             "Jordan structure inconsistent with cluster multiplicity "
-            f"(rank sequence {ranks}, multiplicity {multiplicity}); "
-            "the cluster tolerance likely merged unrelated eigenvalues"
+            f"(nullities {nullities[:-1]}, multiplicity {multiplicity})"
         )
     return tuple(blocks), flagged
 
@@ -307,50 +303,46 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _clusters(
-    entries: np.ndarray, eigenvalues: np.ndarray, scale: float, cluster_tol: float
+    entries: np.ndarray, eigenvalues: np.ndarray, scale: float
 ) -> tuple[SpectrumCluster, ...]:
     """The clusters of ``eigenvalues`` with each one's Jordan blocks."""
+    unit = scale or 1.0  # dividing by s first keeps every quantity representable
     clusters: list[SpectrumCluster] = []
-    for group in _cluster_indices(eigenvalues / (scale or 1.0), cluster_tol):  # no overflow
+    for group in _cluster_indices(eigenvalues / unit, _DELTA):
         value = complex(eigenvalues[group].mean())
         if len(group) == 1:
             clusters.append(_cluster(value, (1,), scale))
             continue
-        shifted = entries - value * np.eye(entries.shape[0])
-        peak = float(np.abs(shifted).max())
-        if peak > 0.0:  # unit scale keeps the powers (H - lambda)^k representable
-            shifted = shifted / peak
+        shifted = entries / unit - (value / unit) * np.eye(entries.shape[0])
         blocks, flagged = _jordan_blocks(shifted, len(group))
         clusters.append(_cluster(value, blocks, scale, flagged))
     return tuple(clusters)
 
 
-def analyze_spectrum(h: HamiltonianMatrix, cluster_tol: float = 1e-8) -> SpectrumReport:
+def analyze_spectrum(h: HamiltonianMatrix) -> SpectrumReport:
     """Eigenvalues plus Jordan-structure analysis of degenerate clusters.
 
-    Eigenvalues whose mutual distance is below ``cluster_tol`` (in units of
-    the largest matrix entry) are merged; each cluster's Jordan block sizes
-    are recovered from the rank sequence of (H - lambda I)^k with numerical
-    ranks from singular value decompositions, after dividing H - lambda I by
-    its largest entry so that the powers neither underflow nor overflow.
-    Near an exceptional point of order m, backward errors of size eps
-    scatter the eigenvalues over a disk of radius ~ eps^(1/m); the reported
-    ``perturbation_radius`` quantifies this, and ``cluster_tol`` must sit
-    above it for the merge to be reliable (the default 1e-8 is safe for
-    matrices whose degeneracy is exact in the entries, like the truncated
-    unidirectional chain).
+    One scale decides both steps.  With s the largest matrix entry,
+    eigenvalues within ``_DELTA * s`` (delta = 1e-8) of each other form a
+    cluster, and each cluster's Jordan blocks follow from SVD ranks of
+    A = (H - lambda I) / s taken at that same delta (see
+    :func:`_jordan_blocks`), so the answer does not depend on the overall
+    scale of H.  Near an exceptional point of order m, backward errors of
+    size eps scatter the eigenvalues over a disk of radius ~ eps^(1/m), the
+    reported ``perturbation_radius``; an EP whose scatter exceeds delta
+    (an order-2 EP not exact in the entries scatters by ~ sqrt(eps)) is
+    split into several clusters.  The truncated unidirectional chain is
+    exact in its entries, and its order-N EP forms one cluster.
 
     One pass clusters the eigenvalues of ``np.linalg.eigvals`` and finds
     each cluster's Jordan blocks, so a defective matrix costs no eigenvector
     solve.  A report found not defective then takes its eigenvalues and
     eigenvectors from ``np.linalg.eig`` and keeps the clusters of that pass.
     """
-    if not cluster_tol > 0:
-        raise ValidationError("cluster_tol must be positive")
     entries = np.asarray(h.entries, dtype=complex)
     scale = float(np.abs(entries).max())
     eigenvalues = _checked("eigensolver", np.linalg.eigvals, entries)
-    report = SpectrumReport(eigenvalues, None, _clusters(entries, eigenvalues, scale, cluster_tol))
+    report = SpectrumReport(eigenvalues, None, _clusters(entries, eigenvalues, scale))
     if report.is_defective:
         return report
     eigenvalues, vectors = _checked("eigensolver", np.linalg.eig, entries)

@@ -115,7 +115,26 @@ class TestSpectrumCommand:
         assert cfg["geometry"] == "chain"
         assert cfg["sites"] == 4
         assert cfg["kappa1"] == [1.0, 0.0]
-        assert cfg["cluster_tol"] == 1e-8
+        assert "cluster_tol" not in cfg
+
+    def test_cluster_tol_flag_is_gone(self, capsys, tmp_path):
+        code, _, err = run(
+            ["spectrum", "--geometry", "chain", "--sites", "4", "--cluster-tol", "1e-8"], capsys
+        )
+        assert code == 1
+        assert "--cluster-tol" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cluster_tol_is_an_unknown_config_key(self, capsys, tmp_path):
+        # a config dumped before the clustering distance became a constant
+        (tmp_path / "c.json").write_text(
+            json.dumps({"geometry": "chain", "sites": 4, "cluster_tol": 1e-8})
+        )
+        code, out, err = run(["spectrum", "--config", "c.json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: unknown config keys: ['cluster_tol']\n"
+        assert not (tmp_path / "spectrum.json").exists()
 
 
 class TestEvolveCommand:
@@ -962,7 +981,7 @@ def test_floquet_guard_checks_only_the_final_product(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--geometry", "chain", "--sites", "4", "--cluster-tol", "inf"],
+        ["spectrum", "--geometry", "chain", "--sites", "4", "--force", "inf"],
         ["evolve", "--geometry", "chain", "--sites", "4", "--method", "closed", "--t-end", "inf"],
         ["bloch", "--geometry", "chain", "--sites", "8", "--force", "0.5", "--periods", "nan"],
         ["floquet", "--sites", "4", "--phi0-rate", "inf"],
@@ -985,6 +1004,40 @@ def test_non_finite_float_flag_maps_to_exit_2(capsys, tmp_path, argv, dump):
     assert err == f"validation error: {flag} must be finite, got {float(argv[-1])!r}\n"
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flux_drive_force_overflow_maps_to_exit_2(capsys, tmp_path):
+    code, out, err = run(["floquet", "--sites", "2", "--phi0-rate", "1e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: phi0_rate = 1e+308 gives the force")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "center, width, code",
+    [("3", "1e-154", 0), ("3.5", "1e-200", 2)],
+    ids=["point-mass", "all-underflow"],
+)
+def test_narrow_gaussian_width(capsys, tmp_path, center, width, code):
+    # warnings are errors here, so a raw numpy RuntimeWarning fails the test
+    argv = [
+        "evolve", "--geometry", "chain", "--sites", "8", "--initial", "gaussian",
+        "--center", center, "--width", width, "--method", "closed", "--t-end", "1",
+    ]
+    got, out, err = run(argv, capsys)
+    assert got == code
+    if code == 0:
+        assert err == ""
+        assert out.startswith("evolve: recorded=201")
+    else:
+        assert out == ""
+        assert err == (
+            f"validation error: width = {float(width)!r} is too narrow for the gaussian at "
+            f"center {float(center)!r}: every amplitude underflows to 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def _is_effective(matrix):

@@ -750,3 +750,15 @@ class TestStateBuilders:
             gaussian_state(spec, 2.0, 0.0)
         with pytest.raises(ValidationError):
             gaussian_state(spec, np.nan, 1.0)
+
+    @pytest.mark.parametrize("width", [1e-154, 1e-200, 5e-324])
+    def test_narrow_gaussian_on_a_site_is_the_point_mass(self, width):
+        # ((n - c) / w)^2 overflows to inf off the center without a warning
+        # (warnings are errors here), and is exactly 0 on it
+        state = gaussian_state(chain(8), 3.0, width)
+        assert state.amps.tolist() == [0j, 0j, 0j, 1 + 0j, 0j, 0j, 0j, 0j]
+
+    @pytest.mark.parametrize("center", [3.5, -2.0, 1e300])
+    def test_gaussian_whose_amplitudes_all_underflow_names_width(self, center):
+        with pytest.raises(ValidationError, match=r"^width = 1e-200 is too narrow"):
+            gaussian_state(chain(8), center, 1e-200)

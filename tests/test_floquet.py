@@ -54,6 +54,16 @@ class TestFluxDrive:
         with pytest.raises(ValidationError):
             FluxDrive(phi0_rate=1.0, sites=1)
 
+    @pytest.mark.parametrize(
+        "phi0_rate, sites", [(1e308, 2), (-1e308, 2), (1e-310, 2), (5e-324, 100)],
+        ids=["force-inf", "force-minus-inf", "period-inf", "force-underflows"],
+    )
+    def test_force_or_period_out_of_range_names_phi0_rate(self, phi0_rate, sites):
+        # the force 2 pi phi0_rate / sites overflows (period 0) or underflows
+        # to 0, or the period 2 pi / |F| overflows
+        with pytest.raises(ValidationError, match=r"^phi0_rate = .* gives the force"):
+            FluxDrive(phi0_rate=phi0_rate, sites=sites)
+
 
 class TestFoldQuasiEnergy:
     def test_examples(self):

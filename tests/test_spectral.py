@@ -392,27 +392,37 @@ class TestAnalyzeSpectrum:
         assert radius == pytest.approx(eps ** (1.0 / sites), rel=1e-12)
 
     def test_clustering_is_transitive(self):
-        # the ends are 1.2e-16 apart, beyond tol = 1e-16, but each is within
-        # tol of the middle value, so all three form one cluster
-        entries = np.diag([0.0, 0.6e-16, 1.2e-16, 1.0]).astype(complex)
-        report = analyze_spectrum(HamiltonianMatrix(entries=entries), cluster_tol=1e-16)
+        # the ends are 1.2e-8 apart, beyond delta = 1e-8, but each is within
+        # delta of the middle value, so all three form one cluster
+        entries = np.diag([0.0, 0.6e-8, 1.2e-8, 1.0]).astype(complex)
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
         assert [c.jordan_blocks for c in report.clusters] == [(1, 1, 1), (1,)]
         assert not report.is_defective
+
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            (0.3 * np.eye(3), [(1, 1, 1)]),
+            (np.diag([0.0, 1e-9, 1.0]), [(1, 1), (1,)]),
+            (cmath.exp(1j) * (np.eye(3) + np.diag([1.0, 1.0], 1)), [(3,)]),
+        ],
+        ids=["scaled-identity", "close-pair", "rotated-J3"],
+    )
+    def test_one_scale_for_clusters_and_ranks(self, entries, want):
+        # each cluster's ranks are taken at the distance that formed it, so
+        # values merged within delta are one eigenvalue to the rank test too,
+        # and a cluster value an ulp off its eigenvalue still gives one block
+        # (diag(0, 1e-10, 2e-10, 1) is test_close_distinct_eigenvalues_are_not_one_block)
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries.astype(complex)))
+        assert [c.jordan_blocks for c in report.clusters] == want
 
     def test_cluster_derives_multiplicity_and_ep_order(self):
         c = SpectrumCluster(value=0j, jordan_blocks=(3, 1), perturbation_radius=0.0)
         assert c.multiplicity == 4
         assert c.ep_order == 3
 
-    def test_loose_tolerance_merging_distinct_eigenvalues_fails_loud(self):
-        entries = np.diag([0.0, 1e-3]).astype(complex)
-        with pytest.raises(ComputationError):
-            analyze_spectrum(HamiltonianMatrix(entries=entries), cluster_tol=10.0)
 
-    def test_cluster_tol_validation(self):
-        h = build_hamiltonian(chain(3))
-        with pytest.raises(ValidationError):
-            analyze_spectrum(h, cluster_tol=0.0)
+BLOCK_VALUES = [0.0, 1.0, 0.5j, cmath.exp(1j)]
 
 
 def jordan_sum(blocks, order):
@@ -430,13 +440,13 @@ def jordan_sum(blocks, order):
 
 
 def weyr_blocks(shifted, multiplicity):
-    """Block sizes from the ranks of all powers 1..m (no shortcut)."""
+    """Block sizes from numpy's ranks of all powers 1..m, an oracle for exact sums."""
     dim = shifted.shape[0]
     ranks = [dim]
     power = np.eye(dim, dtype=complex)
     for _ in range(multiplicity):
         power = power @ shifted
-        ranks.append(spectral._numerical_rank(power)[0])
+        ranks.append(int(np.linalg.matrix_rank(power)))
     deficits = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
     blocks = []
     for k in range(1, len(deficits)):
@@ -445,38 +455,31 @@ def weyr_blocks(shifted, multiplicity):
 
 
 def counting_rank(monkeypatch, rank=None):
-    """Count calls to the SVD rank; ``rank`` may override its result."""
+    """Count the rank decisions; ``rank`` may replace their result."""
     calls = []
-    real = spectral._numerical_rank
+    real = spectral._rank_of
 
-    def counted(matrix):
-        calls.append(matrix)
-        result = real(matrix)
-        return result if rank is None else (rank(matrix, result[0]),) + result[1:]
+    def counted(sv):
+        calls.append(sv)
+        return real(sv) if rank is None else (rank(sv), False)
 
-    monkeypatch.setattr(spectral, "_numerical_rank", counted)
+    monkeypatch.setattr(spectral, "_rank_of", counted)
     return calls
 
 
 class TestJordanShortcut:
-    def test_single_chain_takes_two_ranks(self, monkeypatch):
-        calls = counting_rank(monkeypatch)
-        report = analyze_spectrum(build_hamiltonian(chain(256)))
-        assert [c.jordan_blocks for c in report.clusters] == [(256,)]
-        assert len(calls) <= 2
-
-    def test_disagreeing_end_rank_runs_the_full_sequence(self, monkeypatch):
-        # every vanishing power is ranked 1, so the end rank of the 4-site chain
-        # disagrees with 4 - 4; the fallback ranks the powers one by one and
-        # refuses the inconsistent sequence as before
-        calls = counting_rank(monkeypatch, lambda m, r: 1 if not m.any() else r)
+    def test_inconsistent_nullities_are_refused(self, monkeypatch):
+        # every rank read as 2 gives the 4-site chain nullity 2, so the
+        # staircase runs; its 2 x 2 compression then has nullity 0, and
+        # nullities [2, 0] give blocks (1, 1), which do not sum to 4
+        calls = counting_rank(monkeypatch, lambda sv: 2)
         with pytest.raises(ComputationError) as info:
             analyze_spectrum(build_hamiltonian(chain(4)))
-        assert str(info.value).startswith(
+        assert str(info.value) == (
             "Jordan structure inconsistent with cluster multiplicity "
-            "(rank sequence [4, 3, 2, 1, 1], multiplicity 4)"
+            "(nullities [2, 0], multiplicity 4)"
         )
-        assert len(calls) == 5  # first rank, end rank, then powers 2, 3 and 4
+        assert [len(sv) for sv in calls] == [4, 4, 2]  # the first rank, then two steps
 
     @pytest.mark.parametrize("dim", [4, 0])
     def test_zero_matrix_is_ranked_without_an_svd(self, monkeypatch, dim):
@@ -484,10 +487,10 @@ class TestJordanShortcut:
             raise AssertionError("np.linalg.svd called on a zero matrix")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        assert spectral._numerical_rank(np.zeros((dim, dim), dtype=complex)) == (0, False, 0.0)
+        assert spectral._numerical_rank(np.zeros((dim, dim), dtype=complex)) == (0, False)
 
     def test_chain_takes_one_svd(self, monkeypatch):
-        # the first rank takes an SVD; the 256th power is exactly zero
+        # nullity 1 is one block of the cluster's full size, from one SVD
         calls = []
         real = np.linalg.svd
 
@@ -500,13 +503,26 @@ class TestJordanShortcut:
         assert [c.jordan_blocks for c in report.clusters] == [(256,)]
         assert len(calls) == 1
 
-    def test_close_distinct_eigenvalues_are_not_one_block(self):
-        # the cluster {0, 1e-10, 2e-10} has nullity 1 and its third power ranks
-        # 1, yet it is diagonalizable: the second power loses two ranks at once,
-        # and the margin test keeps the shortcut from reading it as J_3
+    def test_close_distinct_eigenvalues_are_not_one_block(self, monkeypatch):
+        # {0, 1e-10, 2e-10} lies within delta, so H - lambda has nullity 3 at
+        # the clustering scale: three blocks of size 1 from one rank
+        calls = counting_rank(monkeypatch)
         entries = np.diag([0.0, 1e-10, 2e-10, 1.0]).astype(complex)
-        with pytest.raises(ComputationError, match=r"rank sequence \[4, 3, 1, 1\]"):
-            analyze_spectrum(HamiltonianMatrix(entries=entries))
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert [c.jordan_blocks for c in report.clusters] == [(1, 1, 1), (1,)]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "blocks, gap, want",
+        [((2, 1), 5e-5, (2, 1)), ((3, 1), 1e-5, (3, 1)), ((2, 2, 1), 1e-4, (2, 2, 1))],
+    )
+    def test_mixed_blocks_beside_a_close_simple_eigenvalue(self, blocks, gap, want):
+        # a simple eigenvalue at ``gap`` from a cluster with 1 < d_1 < m: the
+        # staircase keeps its singular value near ``gap`` at every step, so
+        # it is never counted as null, as it would be in a power of H - lambda
+        entries = jordan_sum([(size, 0.0) for size in blocks] + [(1, gap)], range(sum(blocks) + 1))
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert [c.jordan_blocks for c in report.clusters] == [want, (1,)]
 
 
 class TestJordanProperties:
@@ -522,28 +538,35 @@ class TestJordanProperties:
         assert [c.jordan_blocks for c in report.clusters] == [(sites,)]
 
     @settings(deadline=None, max_examples=40)
-    @given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=5), data=st.data())
-    def test_permuted_nilpotent_sum(self, sizes, data):
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        value=st.sampled_from(BLOCK_VALUES),
+        data=st.data(),
+    )
+    def test_permuted_nilpotent_sum(self, sizes, value, data):
+        # J_{s1}(v) + J_{s2}(v) + ..., rows and columns permuted: one cluster
         dim = sum(sizes)
         order = data.draw(st.permutations(range(dim)))
-        entries = jordan_sum([(size, 0.0) for size in sizes], order)
+        entries = jordan_sum([(size, value) for size in sizes], order)
         want = tuple(sorted(sizes, reverse=True))
         report = analyze_spectrum(HamiltonianMatrix(entries=entries))
         assert [c.jordan_blocks for c in report.clusters] == [want]
-        assert weyr_blocks(entries, dim) == want
+        assert weyr_blocks(entries - value * np.eye(dim), dim) == want
 
     @settings(deadline=None, max_examples=40)
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-        simple=st.lists(st.sampled_from([1.0, -2.0 + 1.0j, 0.5j]), unique=True, max_size=3),
+        value=st.sampled_from(BLOCK_VALUES),
         log_scale=st.floats(-6.0, 6.0),
         phase=st.floats(0.0, 2.0 * math.pi),
         data=st.data(),
     )
-    def test_scaling_keeps_the_blocks(self, sizes, simple, log_scale, phase, data):
-        # nilpotent blocks at 0 beside simple eigenvalues: the mean of a cluster
-        # of exact zeros is exact, so only the scale s of H changes
-        blocks = [(size, 0.0) for size in sizes] + [(1, value) for value in simple]
+    def test_scaling_keeps_the_blocks(self, sizes, value, log_scale, phase, data):
+        # Jordan blocks at one value beside simple eigenvalues, under H -> s H;
+        # the cluster's mean may miss s * value by an ulp
+        others = [v for v in BLOCK_VALUES + [-2.0 + 1.0j] if v != value]
+        simple = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        blocks = [(size, value) for size in sizes] + [(1, v) for v in simple]
         order = data.draw(st.permutations(range(sum(sizes) + len(simple))))
         entries = jordan_sum(blocks, order)
         s = 10.0**log_scale * cmath.exp(1j * phase)
@@ -552,6 +575,27 @@ class TestJordanProperties:
             for m in (entries, s * entries)
         ]
         assert found[0] == found[1] == sorted([tuple(sorted(sizes, reverse=True))] + [(1,)] * len(simple))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=[1, 3], log_scale=0.0, seed=0)
+    @example(counts=[2, 2, 2], log_scale=0.0, seed=0)
+    def test_rotated_degenerate_diagonalizable_is_all_ones(self, counts, log_scale, seed):
+        # Q diag(v_1 (count_1 times), v_2, ...) Q^H for a random unitary Q:
+        # rounding leaves every eigenvalue within eps ||H|| and every cluster
+        # nullity intact, so each value is count_i blocks of size 1
+        values = [v for v, count in zip(BLOCK_VALUES + [-2.0 + 1.0j], counts) for _ in range(count)]
+        rng = np.random.default_rng(seed)
+        dim = len(values)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        entries = 10.0**log_scale * (q * np.array(values)) @ q.conj().T
+        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
+        assert sorted(c.jordan_blocks for c in report.clusters) == sorted((1,) * c for c in counts)
+        assert report.eigenvectors is not None
 
 
 class TestWannierStark:
