@@ -112,7 +112,7 @@ def _canon(name: str, kind, value):
             return str(value)
         if kind == "complex":
             number = complex_to_pair(pair_to_complex(value))
-        elif kind in ("float", "fraction"):
+        elif kind == "float":
             number = float(value)
         elif kind == "floats":
             if isinstance(value, str):
@@ -128,8 +128,6 @@ def _canon(name: str, kind, value):
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"bad value for {name}: {value!r}") from exc
-    if kind == "fraction" and not 0.0 < number < 1.0:  # NaN fails too
-        raise ValidationError(f"{name} must lie in (0, 1), got {number!r}")
     if not np.isfinite(number).all():
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
@@ -292,40 +290,42 @@ _EVOLVE_FIELDS = _LATTICE_FIELDS + _STATE_FIELDS + (
 )
 
 
-def _run_evolve(resolved: dict, spec: LatticeSpec) -> "StateTrajectory":
-    c0 = _initial_state(resolved, spec)
+def _rk4_config(resolved: dict) -> EvolveConfig | None:
+    """Check the options against the method and build the RK4 step control:
+    None for the closed form, and for an rk4 run that still lacks --dt."""
     t_end = resolved["t_end"]
     if resolved["method"] == "closed":
         unset = {"flux_rate": None, "dt": None, "record_every": 1, "renormalize": False}
         for name, default in unset.items():
             if resolved[name] != default:  # the closed form has no step to set or thin
                 raise ValidationError(f"{name} requires the rk4 method")
-        if t_end == 0.0:
-            times = np.zeros(1)
-        else:
-            if resolved["samples"] < 2:
-                raise ValidationError("need samples >= 2 for t_end > 0")
-            times = np.linspace(0.0, t_end, resolved["samples"])
-        return evolve_closed_form(spec, c0, times)
+        if t_end != 0.0 and resolved["samples"] < 2:
+            raise ValidationError("need samples >= 2 for t_end > 0")
+        return None
     if resolved["samples"] != 201:  # RK4 records every record_every-th step
         raise ValidationError("samples requires the closed method")
     dt = resolved["dt"]
-    if dt is None:
-        if t_end == 0.0:
-            dt = 1.0  # unused: only the initial state is emitted
-        else:
-            raise _UsageError("--dt is required for method rk4 with t_end > 0")
-    cfg = _evolve_config(resolved, t_end, dt)
-    return evolve_rk4(spec, c0, cfg, flux_rate=resolved["flux_rate"])
+    if dt is None and t_end == 0.0:
+        dt = 1.0  # unused: only the initial state is emitted
+    return None if dt is None else _evolve_config(resolved, t_end, dt)
 
 
 def _cmd_evolve(args) -> int:
     resolved = _resolve(args, _EVOLVE_FIELDS)
     spec = _lattice_spec(resolved)
     _fill_state_defaults(resolved, spec)
+    cfg = _rk4_config(resolved)
     if _maybe_dump(args, resolved, "evolve"):
         return 0
-    traj = _run_evolve(resolved, spec)
+    c0 = _initial_state(resolved, spec)
+    t_end = resolved["t_end"]
+    if resolved["method"] == "closed":
+        times = np.linspace(0.0, t_end, resolved["samples"]) if t_end else np.zeros(1)
+        traj = evolve_closed_form(spec, c0, times)
+    elif cfg is None:
+        raise _UsageError("--dt is required for method rk4 with t_end > 0")
+    else:
+        traj = evolve_rk4(spec, c0, cfg, flux_rate=resolved["flux_rate"])
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
     write_observables_csv(traj, f"{prefix}_observables.csv")
@@ -377,11 +377,11 @@ def _cmd_bloch(args) -> int:
     _fill_state_defaults(resolved, spec)
     if resolved["force"] == 0.0:
         raise ValidationError("Bloch oscillations need a nonzero force")
+    t_b = 2.0 * math.pi / abs(resolved["force"])
+    cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
     if _maybe_dump(args, resolved, "bloch"):
         return 0
-    t_b = 2.0 * math.pi / abs(resolved["force"])
     c0 = _initial_state(resolved, spec)
-    cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
     traj = evolve_rk4(spec, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
@@ -406,8 +406,6 @@ _FLOQUET_FIELDS = (
 
 def _cmd_floquet(args) -> int:
     resolved = _resolve(args, _FLOQUET_FIELDS)
-    if _maybe_dump(args, resolved, "floquet"):
-        return 0
     kappa1 = pair_to_complex(resolved["kappa1"])
     kappa2 = pair_to_complex(resolved["kappa2"])
     spec = LatticeSpec(
@@ -415,6 +413,8 @@ def _cmd_floquet(args) -> int:
     )
     drive = FluxDrive(phi0_rate=resolved["phi0_rate"], sites=resolved["sites"])
     dt = _period_step(drive.period, resolved)
+    if _maybe_dump(args, resolved, "floquet"):
+        return 0
     report = monodromy(spec, drive, dt)
     analytic = None
     if kappa2 == 0j:
@@ -449,25 +449,20 @@ _ENGINEER_FIELDS = (
     ("x", "float", _REQUIRED),
     ("gamma_guess", "complex", _REQUIRED),
     ("kappa", "float", 1.0),
-    ("tol", "float", 1e-12),
-    ("max_iterations", "int", 100),
     ("output", "str", "engineer.json"),
 )
 
 
 def _cmd_engineer(args) -> int:
     resolved = _resolve(args, _ENGINEER_FIELDS)
-    if _maybe_dump(args, resolved, "engineer"):
-        return 0
     theta, x = resolved["theta"], resolved["x"]
     kappa = resolved["kappa"]
     guess = pair_to_complex(resolved["gamma_guess"])
-    at_guess = effective_hopping(
-        ModulationProtocol.with_shape(theta, x, guess), kappa
-    )
-    root = solve_unidirectional(
-        theta, x, guess, tol=resolved["tol"], max_iterations=resolved["max_iterations"]
-    )
+    protocol = ModulationProtocol.with_shape(theta, x, guess)
+    if _maybe_dump(args, resolved, "engineer"):
+        return 0
+    at_guess = effective_hopping(protocol, kappa)
+    root = solve_unidirectional(theta, x, guess)
     rho = kappa * root.rho
     abs_sigma = abs(kappa) * root.residual
     out = {
@@ -519,8 +514,6 @@ def _cmd_rwa(args) -> int:
         )
     if resolved["site"] is None:
         resolved["site"] = resolved["sites"] // 2
-    if _maybe_dump(args, resolved, "rwa"):
-        return 0
     sites = resolved["sites"]
     if not 0 <= resolved["site"] < sites:
         raise ValidationError(f"site {resolved['site']} is outside 0..{sites - 1}")
@@ -530,6 +523,8 @@ def _cmd_rwa(args) -> int:
         pair_to_complex(resolved["gamma"]),
         period=resolved["period"],
     )
+    if _maybe_dump(args, resolved, "rwa"):
+        return 0
     amps = np.zeros(sites, dtype=complex)
     amps[resolved["site"]] = 1.0
     samples = rwa_validate(
@@ -568,7 +563,6 @@ _LASER_FIELDS = _STATE_FIELDS + (
     ("dt", "float", _REQUIRED),
     ("record_every", "int", 1),
     ("renormalize", "bool", False),
-    ("edge_tol", "fraction", 1e-6),
     ("output_prefix", "str", "laser"),
 )
 
@@ -590,11 +584,11 @@ def _cmd_laser(args) -> int:
         window=(resolved["n_min"], resolved["n_max"]),
     )
     _fill_state_defaults(resolved, window_spec)
+    cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
     if _maybe_dump(args, resolved, "laser"):
         return 0
     c0 = _initial_state(resolved, window_spec)
-    cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
-    traj = laser_evolve(params, c0, cfg, edge_tol=resolved["edge_tol"])
+    traj = laser_evolve(params, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
     write_observables_csv(traj, f"{prefix}_observables.csv")
@@ -654,7 +648,6 @@ _HELP = {
 _ARGPARSE = {
     "int": {"type": int},
     "float": {"type": float},
-    "fraction": {"type": float},
     "bool": {"action": argparse.BooleanOptionalAction, "default": None},
     "ints2": {"nargs": 2, "type": int, "metavar": ("MIN", "MAX")},
     "complex": {"metavar": "A+BI"},
@@ -716,8 +709,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+    except (ComputationError, MemoryError) as exc:  # numpy's MemoryError names the size
+        print(f"computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

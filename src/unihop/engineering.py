@@ -336,21 +336,20 @@ class UnidirectionalRoot:
     iterations: int
 
 
-def solve_unidirectional(
-    theta: float,
-    x: float,
-    gamma_guess: complex,
-    tol: float = 1e-12,
-    max_iterations: int = 100,
-) -> UnidirectionalRoot:
+_NEWTON_TOL = 1e-12  # residual |sigma| / kappa that counts as a root
+_NEWTON_ITERATIONS = 100
+
+
+def solve_unidirectional(theta: float, x: float, gamma_guess: complex) -> UnidirectionalRoot:
     """Newton search for Gamma with sigma(Gamma) = 0 at fixed theta, x.
 
     Solves x sinc(Gamma) + (1 - x) e^{i theta} = 0 in the complex plane from
-    ``gamma_guess``, with step halving (up to 8 times) whenever a full step
-    fails to reduce the residual -- sinc has nearby zeros and extrema that a
-    raw Newton step can overshoot.  Requires sin(theta) != 0: at theta = 0 or
-    pi the same condition would cancel rho as well (the two closed forms then
-    coincide), leaving no hopping at all.
+    ``gamma_guess`` until |sigma| / kappa < 1e-12, within 100 iterations
+    (else :class:`RootNotFoundError`), with step halving (up to 8 times)
+    whenever a full step fails to reduce the residual -- sinc has nearby
+    zeros and extrema that a raw Newton step can overshoot.  Requires
+    sin(theta) != 0: at theta = 0 or pi the same condition would cancel rho
+    as well (the two closed forms then coincide), leaving no hopping at all.
     """
     if not 0.0 < x < 1.0:
         raise ValidationError(f"duty cycle x must lie in (0, 1), got {x!r}")
@@ -362,17 +361,13 @@ def solve_unidirectional(
     gamma = complex(gamma_guess)
     if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
         raise ValidationError("gamma_guess must be finite")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
-    if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1):
-        raise ValidationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
 
     def f(g: complex) -> complex:
         return _closed_form_hopping(theta, x, g, 1.0).sigma
 
     residual = abs(f(gamma))
-    for iteration in range(1, max_iterations + 1):
-        if residual < tol:
+    for iteration in range(1, _NEWTON_ITERATIONS + 1):
+        if residual < _NEWTON_TOL:
             rho = _closed_form_hopping(theta, x, gamma, 1.0).rho
             return UnidirectionalRoot(
                 gamma=gamma, rho=rho, residual=residual, iterations=iteration - 1
@@ -398,7 +393,7 @@ def solve_unidirectional(
             )
         gamma, residual = candidate, cand_residual
     raise RootNotFoundError(
-        f"no sigma = 0 root within {max_iterations} iterations "
+        f"no sigma = 0 root within {_NEWTON_ITERATIONS} iterations "
         f"(final residual {residual:.3e})",
         residual=residual,
     )
@@ -616,23 +611,19 @@ def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> Hamiltoni
     return HamiltonianMatrix(entries=_dense(bands), offset=lattice.offset)
 
 
-def laser_evolve(
-    params: LaserParams,
-    c0: StateVector,
-    cfg: EvolveConfig,
-    edge_tol: float = 1e-6,
-) -> StateTrajectory:
+_EDGE_TOL = 1e-6  # largest share of the weight the two boundary modes may hold
+
+
+def laser_evolve(params: LaserParams, c0: StateVector, cfg: EvolveConfig) -> StateTrajectory:
     """RK4 integration of the laser modal equations on c0's mode window.
 
     The generator is static, so each step is one product by the banded RK4
     step matrix.  The window has open boundaries, so results are
     trustworthy only while the wavepacket stays inside: an edge monitor
-    aborts (computation error) after any step that leaves more than
-    ``edge_tol`` of the total weight on the two boundary modes; it must lie
-    in (0, 1).  Pass a wider initial window rather than loosening the monitor.
+    aborts (:class:`EdgeLeakError`, a computation error) after any step that
+    leaves more than 1e-6 of the total weight on the two boundary modes.
+    The limit is fixed: pass a wider initial window instead.
     """
-    if not 0.0 < edge_tol < 1.0:  # NaN fails too, and would switch the monitor off
-        raise ValidationError(f"edge_tol must lie in (0, 1), got {edge_tol!r}")
     lattice, bands = _laser_lattice(params, (c0.offset, c0.offset + len(c0) - 1))
     extent = float(np.abs(lattice.site_indices).max())
     scale = max(_dt_scale(lattice, None), abs(params.gain - params.loss), params.dg * extent**2)
@@ -642,10 +633,10 @@ def laser_evolve(
         if total == 0.0:
             return
         boundary = float(abs(y[0]) ** 2 + abs(y[-1]) ** 2)
-        if boundary > edge_tol * total:
+        if boundary > _EDGE_TOL * total:
             raise EdgeLeakError(
                 f"boundary modes hold {boundary / total:.3e} of the weight at "
-                f"t = {t:.6g} (limit {edge_tol:g}); widen the mode window"
+                f"t = {t:.6g} (limit {_EDGE_TOL:g}); widen the mode window"
             )
 
     return _evolve(bands, None, c0, cfg, scale, "the laser scales", step_hook=edge_monitor)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import unihop
-from unihop import engineering, floquet, spectral
+from unihop import cli, engineering, floquet, spectral
 from unihop.cli import main
 
 GAMMA_STAR = 3.0017822918018364 + 0.6994075768635631j
@@ -452,32 +452,17 @@ class TestEngineerCommand:
         )
         assert "iterations=" in out
 
-    def test_iteration_budget_maps_to_exit_3(self, capsys):
+    def test_iteration_budget_maps_to_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(engineering, "_NEWTON_ITERATIONS", 1)
         code, _, err = run(
             [
                 "engineer", "--theta", "1.5707963267948966", "--x", "0.8",
-                "--gamma-guess", "3+0.7i", "--max-iterations", "1",
+                "--gamma-guess", "3+0.7i",
             ],
             capsys,
         )
         assert code == 3
         assert "computation error" in err
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--max-iterations", "-3")],
-    )
-    def test_newton_settings_map_to_exit_2(self, capsys, flag, value):
-        code, out, err = run(
-            [
-                "engineer", "--theta", "1.5707963267948966", "--x", "0.8",
-                "--gamma-guess", "3+0.7i", flag, value,
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("validation error: " + flag[2:].replace("-", "_"))
-        assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -619,22 +604,6 @@ class TestLaserCommand:
         )
         assert code == 3
         assert "widen the mode window" in err
-
-
-    @pytest.mark.parametrize("edge_tol", ["nan", "-1"])
-    def test_edge_tol_outside_unit_interval_is_a_validation_error(self, capsys, edge_tol):
-        code, _, err = run(
-            [
-                "laser", "--delta-am", "0.5", "--delta-fm", "0.5",
-                "--phi", "-1.5707963267948966", "--detuning", "-0.6",
-                "--n-min", "-3", "--n-max", "3", "--initial", "gaussian",
-                "--t-end", "5", "--dt", "0.002", "--edge-tol", edge_tol,
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "Traceback" not in err
-        assert "edge_tol must lie in (0, 1)" in err
 
 
 class TestDumpHCommand:
@@ -861,7 +830,8 @@ def _scipy_modules_after(statement, cwd):
         "'1.5707963267948966', '--x', '0.8', '--gamma-guess', '3+0.7i']) == 0",
         "from unihop.cli import main; assert main(['evolve', '--geometry', 'chain', '--sites', "
         "'4', '--site', '3', '--method', 'closed', '--t-end', '1']) == 0",
-        f"from unihop.cli import main; assert main({RWA_ARGV!r}) == 0",
+        # the README rwa line, default ratios and sites
+        f"from unihop.cli import main; assert main({RWA_ARGV[:7]!r}) == 0",
     ],
     ids=["import-unihop", "import-cli", "ring-spectrum", "engineer", "closed-evolve", "rwa"],
 )
@@ -985,7 +955,7 @@ def test_floquet_guard_checks_only_the_final_product(monkeypatch, capsys):
         ["evolve", "--geometry", "chain", "--sites", "4", "--method", "closed", "--t-end", "inf"],
         ["bloch", "--geometry", "chain", "--sites", "8", "--force", "0.5", "--periods", "nan"],
         ["floquet", "--sites", "4", "--phi0-rate", "inf"],
-        ["engineer", "--theta", "1.5", "--x", "0.8", "--gamma-guess", "3+0.7i", "--tol", "inf"],
+        ["engineer", "--theta", "1.5", "--x", "0.8", "--gamma-guess", "3+0.7i", "--kappa", "inf"],
         ["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i", "--t-end", "inf"],
         [
             "laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-3", "--n-max", "3",
@@ -1071,3 +1041,101 @@ def test_non_finite_effective_propagator_maps_to_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(engineering, "_expm", expm_inf_on_effective)
     code, _, err = run(RWA_ARGV, capsys)
     _assert_exit_3(code, err, "effective propagator returned non-finite values")
+
+
+_ENGINEER_ARGV = [
+    "engineer", "--theta", "1.5707963267948966", "--x", "0.8", "--gamma-guess", "3+0.7i",
+]
+_LASER_ARGV = [
+    "laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-3", "--n-max", "3",
+    "--t-end", "1", "--dt", "0.01",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _ENGINEER_ARGV + ["--tol", "1e-12"],
+        _ENGINEER_ARGV + ["--max-iterations", "100"],
+        _LASER_ARGV + ["--edge-tol", "1e-6"],
+    ],
+    ids=["tol", "max-iterations", "edge-tol"],
+)
+def test_fixed_numerical_settings_have_no_flag(capsys, tmp_path, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: " + argv[-2])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (_ENGINEER_ARGV, "tol", 1e-12),
+        (_ENGINEER_ARGV, "max_iterations", 100),
+        (_LASER_ARGV, "edge_tol", 1e-6),
+    ],
+    ids=["tol", "max_iterations", "edge_tol"],
+)
+def test_fixed_numerical_settings_are_unknown_config_keys(capsys, tmp_path, argv, key, value):
+    # a config dumped before these settings became constants
+    (tmp_path / "c.json").write_text(json.dumps({key: value}))
+    code, out, err = run(argv + ["--config", "c.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"validation error: unknown config keys: [{key!r}]\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rwa", "--theta", "1.5", "--x", "2", "--gamma", "3+0.7i"], "duty cycle x"),
+        (["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i", "--site", "99"],
+         "site 99 is outside 0..9"),
+        (["engineer", "--theta", "1.5", "--x", "2", "--gamma-guess", "3+0.7i"], "duty cycle x"),
+        (["floquet", "--sites", "1"], "sites >= 2"),
+        (["bloch", "--geometry", "chain", "--sites", "4", "--force", "1",
+          "--steps-per-period", "0"], "steps_per_period must be >= 1"),
+        (["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "1", "--dt", "0"],
+         "dt must be finite and positive"),
+        (["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "0", "--n-max", "4",
+          "--t-end", "1", "--dt", "0"], "dt must be finite and positive"),
+    ],
+    ids=["rwa-x", "rwa-site", "engineer-x", "floquet-sites", "bloch-steps", "evolve-dt",
+         "laser-dt"],
+)
+def test_dump_config_refuses_what_the_run_would_refuse(capsys, tmp_path, argv, message):
+    code, out, err = run(argv + ["--dump-config", "d.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (
+            MemoryError("Unable to allocate 14.9 GiB for an array with shape (1000000000,)"),
+            "computation error: Unable to allocate 14.9 GiB for an array with shape "
+            "(1000000000,)\n",
+        ),
+        (MemoryError(), "computation error: out of memory\n"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_failed_allocation_maps_to_exit_3(monkeypatch, capsys, tmp_path, error, line):
+    # stands in for a state too large to allocate; nothing is allocated for real
+    def failing_state(spec, site):
+        raise error
+
+    monkeypatch.setattr(cli, "single_site_state", failing_state)
+    code, out, err = run(["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == line
+    assert list(tmp_path.iterdir()) == []

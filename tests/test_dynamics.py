@@ -478,7 +478,7 @@ class TestBandedStep:
             want = _staged_dense_step(h_dense, n * h, h, want)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_laser_step_matches_staged_dense_step(self):
+    def test_laser_step_matches_staged_dense_step(self, monkeypatch):
         window = (-6, 8)
         couplings = laser_effective_couplings(_LASER)
         n = np.arange(window[0], window[1] + 1, dtype=float)
@@ -491,7 +491,8 @@ class TestBandedStep:
         c0 = _random_state(window[0], n.size, seed=3)
         h = 0.04 / max(abs(couplings.forward), abs(_LASER.detuning) * n.size, _LASER.dg * 8**2)
         # a random state holds weight on the edge modes, so the monitor is set loose
-        got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h), edge_tol=0.5).amps[-1]
+        monkeypatch.setattr(engineering, "_EDGE_TOL", 0.5)
+        got = laser_evolve(_LASER, c0, EvolveConfig(t_end=h, dt=h)).amps[-1]
         want = _staged_dense_step(lambda t: h_dense, 0.0, h, np.asarray(c0.amps))
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 

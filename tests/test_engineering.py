@@ -378,28 +378,15 @@ class TestSolveUnidirectional:
         with pytest.raises(ValidationError):
             solve_unidirectional(np.pi / 2, 0.5, complex("nan"))
 
-    @pytest.mark.parametrize(
-        "setting",
-        [
-            {"tol": float("inf")},
-            {"tol": float("nan")},
-            {"tol": -1.0},
-            {"tol": 0.0},
-            {"max_iterations": -3},
-            {"max_iterations": 0},
-            {"max_iterations": 2.5},
-        ],
-        ids=["tol-inf", "tol-nan", "tol-negative", "tol-zero", "iterations-negative",
-             "iterations-zero", "iterations-fractional"],
-    )
-    def test_newton_settings_are_checked(self, setting):
-        # an infinite tol would accept the unconverged guess as the root
-        with pytest.raises(ValidationError, match=next(iter(setting))):
+    @pytest.mark.parametrize("setting", [{"tol": 1e-12}, {"max_iterations": 100}])
+    def test_newton_settings_are_fixed(self, setting):
+        with pytest.raises(TypeError, match=next(iter(setting))):
             solve_unidirectional(np.pi / 2, 0.8, 3.0 + 0.7j, **setting)
 
-    def test_iteration_budget(self):
-        with pytest.raises(RootNotFoundError) as err:
-            solve_unidirectional(np.pi / 2, 0.8, 3.0 + 0.7j, max_iterations=1)
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(engineering, "_NEWTON_ITERATIONS", 1)
+        with pytest.raises(RootNotFoundError, match="within 1 iterations") as err:
+            solve_unidirectional(np.pi / 2, 0.8, 3.0 + 0.7j)
         assert err.value.residual > 0
 
     def test_stall_at_sinc_extremum(self):
@@ -742,20 +729,18 @@ class TestLaserMapping:
         )
         spec = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=1.0, window=(-2, 2))
         c0 = single_site_state(spec, 0)
-        with pytest.raises(EdgeLeakError):
+        with pytest.raises(EdgeLeakError, match=r"\(limit 1e-06\)"):
             laser_evolve(params, c0, EvolveConfig(t_end=3.0, dt=0.01))
 
-    @pytest.mark.parametrize("edge_tol", [np.nan, np.inf, -1.0, 0.0, 1.0])
-    def test_edge_tol_must_lie_in_unit_interval(self, edge_tol):
-        # a NaN limit compares false against every weight: the monitor would be off
+    def test_edge_limit_is_fixed(self):
         params = LaserParams(
             gain=0.0, loss=0.0, dg=0.0, delta_am=0.5, delta_fm=0.5,
             phi=-np.pi / 2, detuning=-0.6,
         )
         spec = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=1.0, window=(-3, 3))
         c0 = gaussian_state(spec, 0.0, 3.0)
-        with pytest.raises(ValidationError, match="edge_tol"):
-            laser_evolve(params, c0, EvolveConfig(t_end=5.0, dt=0.002), edge_tol=edge_tol)
+        with pytest.raises(TypeError, match="edge_tol"):
+            laser_evolve(params, c0, EvolveConfig(t_end=5.0, dt=0.002), edge_tol=1e-6)
 
     def test_validations(self):
         with pytest.raises(ValidationError):
