@@ -33,7 +33,7 @@ from .dynamics import (
     revival_error,
     single_site_state,
 )
-from .engineering import LaserParams, ModulationProtocol, effective_hopping, laser_evolve, rwa_validate, solve_unidirectional
+from .engineering import LaserParams, ModulationProtocol, _require_sin_theta, effective_hopping, laser_evolve, rwa_validate, solve_unidirectional
 from .errors import ComputationError, ValidationError
 from .floquet import FluxDrive, monodromy, quasi_energies_analytic
 from .lattice import Geometry, LatticeSpec, StateVector, build_hamiltonian
@@ -315,9 +315,9 @@ def _cmd_evolve(args) -> int:
     spec = _lattice_spec(resolved)
     _fill_state_defaults(resolved, spec)
     cfg = _rk4_config(resolved)
+    c0 = _initial_state(resolved, spec)
     if _maybe_dump(args, resolved, "evolve"):
         return 0
-    c0 = _initial_state(resolved, spec)
     t_end = resolved["t_end"]
     if resolved["method"] == "closed":
         times = np.linspace(0.0, t_end, resolved["samples"]) if t_end else np.zeros(1)
@@ -379,9 +379,9 @@ def _cmd_bloch(args) -> int:
         raise ValidationError("Bloch oscillations need a nonzero force")
     t_b = 2.0 * math.pi / abs(resolved["force"])
     cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
+    c0 = _initial_state(resolved, spec)
     if _maybe_dump(args, resolved, "bloch"):
         return 0
-    c0 = _initial_state(resolved, spec)
     traj = evolve_rk4(spec, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
@@ -459,6 +459,7 @@ def _cmd_engineer(args) -> int:
     kappa = resolved["kappa"]
     guess = pair_to_complex(resolved["gamma_guess"])
     protocol = ModulationProtocol.with_shape(theta, x, guess)
+    _require_sin_theta(theta)
     if _maybe_dump(args, resolved, "engineer"):
         return 0
     at_guess = effective_hopping(protocol, kappa)
@@ -585,9 +586,9 @@ def _cmd_laser(args) -> int:
     )
     _fill_state_defaults(resolved, window_spec)
     cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
+    c0 = _initial_state(resolved, window_spec)
     if _maybe_dump(args, resolved, "laser"):
         return 0
-    c0 = _initial_state(resolved, window_spec)
     traj = laser_evolve(params, c0, cfg)
     prefix = resolved["output_prefix"]
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")

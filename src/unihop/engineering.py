@@ -340,6 +340,15 @@ _NEWTON_TOL = 1e-12  # residual |sigma| / kappa that counts as a root
 _NEWTON_ITERATIONS = 100
 
 
+def _require_sin_theta(theta: float) -> None:
+    """Refuse sin(theta) = 0, where cancelling sigma would cancel rho too."""
+    if not math.isfinite(theta) or abs(math.sin(theta)) < 1e-12:
+        raise ValidationError(
+            "sin(theta) must be nonzero: cancelling sigma at sin(theta) = 0 "
+            "would cancel rho too"
+        )
+
+
 def solve_unidirectional(theta: float, x: float, gamma_guess: complex) -> UnidirectionalRoot:
     """Newton search for Gamma with sigma(Gamma) = 0 at fixed theta, x.
 
@@ -353,11 +362,7 @@ def solve_unidirectional(theta: float, x: float, gamma_guess: complex) -> Unidir
     """
     if not 0.0 < x < 1.0:
         raise ValidationError(f"duty cycle x must lie in (0, 1), got {x!r}")
-    if not math.isfinite(theta) or abs(math.sin(theta)) < 1e-12:
-        raise ValidationError(
-            "sin(theta) must be nonzero: cancelling sigma at sin(theta) = 0 "
-            "would cancel rho too"
-        )
+    _require_sin_theta(theta)
     gamma = complex(gamma_guess)
     if not (math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
         raise ValidationError("gamma_guess must be finite")

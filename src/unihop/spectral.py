@@ -239,13 +239,35 @@ def _rank_of(sv: np.ndarray) -> tuple[int, bool]:
     return rank, bool(np.any((sv > _DELTA / 10.0) & (sv < _DELTA * 10.0)))
 
 
-def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, ...], bool]:
+def _nullity_one(shifted: np.ndarray, offsets: np.ndarray) -> bool:
+    """True when two bounds prove that A = ``shifted`` has nullity 1, unflagged.
+
+    sigma_N(A) <= |mu| for each of the cluster's eigenvalues mu of A
+    (``offsets``), and for B, A less a corner row and column, sigma_{N-1}(A)
+    >= sigma_min(B) >= min_i (|b_ii| - (r_i + c_i) / 2), r_i and c_i its
+    off-diagonal absolute row and column sums (interlacing, then Johnson).
+    Both clear the flag band of :func:`_rank_of` by a decade.  The bounds
+    hold for any A and are sharp for a Hessenberg A, whose B is triangular.
+    """
+    if np.abs(offsets).min() > _DELTA / 100.0:
+        return False
+    mag = np.abs(shifted)
+    for minor in (mag[:-1, 1:], mag[1:, :-1]):
+        johnson = 2.0 * minor.diagonal() - (minor.sum(axis=0) + minor.sum(axis=1)) / 2.0
+        if johnson.min() > 100.0 * _DELTA:
+            return True
+    return False
+
+
+def _jordan_blocks(shifted: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...], bool]:
     """Block sizes for one eigenvalue from A = (H - lambda I) / s.
 
-    Every rank is taken at the one threshold ``_DELTA`` that also clusters
-    the eigenvalues, never relative to the matrix being ranked.  The nullity
-    d_1 of A is the number of blocks, so d_1 = m gives m blocks of size 1
-    and d_1 = 1 one block of size m, each from a single SVD.  Only
+    ``offsets`` are the cluster's m eigenvalues of A.  Every rank is taken
+    at the one threshold ``_DELTA`` that also clusters the eigenvalues,
+    never relative to the matrix being ranked.  The nullity d_1 of A is the
+    number of blocks, so d_1 = m gives m blocks of size 1 and d_1 = 1 one
+    block of size m, from a single SVD or, where :func:`_nullity_one`
+    proves d_1 = 1 (a one-way chain's order-N EP), from none.  Only
     1 < d_1 < m runs the Kagstrom-Ruhe staircase: with the columns of V an
     orthonormal basis of the complement of the null space of A, the
     nullity of V^H A V is d_2, the count of blocks of size >= 2, and so on
@@ -255,7 +277,9 @@ def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, .
     is never counted as null.  Block sizes that do not sum to m are a
     :class:`ComputationError`.
     """
-    dim = shifted.shape[0]
+    dim, multiplicity = shifted.shape[0], offsets.size
+    if _nullity_one(shifted, offsets):
+        return (multiplicity,), False
     rank, flagged = _numerical_rank(shifted)
     if dim - rank == multiplicity:
         return (1,) * multiplicity, flagged
@@ -309,12 +333,13 @@ def _clusters(
     unit = scale or 1.0  # dividing by s first keeps every quantity representable
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(eigenvalues / unit, _DELTA):
-        value = complex(eigenvalues[group].mean())
         if len(group) == 1:
-            clusters.append(_cluster(value, (1,), scale))
+            clusters.append(_cluster(eigenvalues[group[0]], (1,), scale))
             continue
-        shifted = entries / unit - (value / unit) * np.eye(entries.shape[0])
-        blocks, flagged = _jordan_blocks(shifted, len(group))
+        value = complex(eigenvalues[group].mean())
+        shifted = entries / unit
+        shifted[np.diag_indices_from(shifted)] -= value / unit
+        blocks, flagged = _jordan_blocks(shifted, (eigenvalues[group] - value) / unit)
         clusters.append(_cluster(value, blocks, scale, flagged))
     return tuple(clusters)
 

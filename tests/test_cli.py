@@ -826,6 +826,9 @@ def _scipy_modules_after(statement, cwd):
         "import unihop.cli",
         "from unihop.cli import main; "
         "assert main(['spectrum', '--geometry', 'ring', '--sites', '4']) == 0",
+        # the chain's order-N EP, certified without an SVD
+        "from unihop.cli import main; "
+        "assert main(['spectrum', '--geometry', 'chain', '--sites', '16']) == 0",
         "from unihop.cli import main; assert main(['engineer', '--theta', "
         "'1.5707963267948966', '--x', '0.8', '--gamma-guess', '3+0.7i']) == 0",
         "from unihop.cli import main; assert main(['evolve', '--geometry', 'chain', '--sites', "
@@ -833,7 +836,10 @@ def _scipy_modules_after(statement, cwd):
         # the README rwa line, default ratios and sites
         f"from unihop.cli import main; assert main({RWA_ARGV[:7]!r}) == 0",
     ],
-    ids=["import-unihop", "import-cli", "ring-spectrum", "engineer", "closed-evolve", "rwa"],
+    ids=[
+        "import-unihop", "import-cli", "ring-spectrum", "chain-spectrum", "engineer",
+        "closed-evolve", "rwa",
+    ],
 )
 def test_start_up_and_scipy_free_commands_leave_scipy_unloaded(tmp_path, statement):
     # scipy is imported only at its call sites; nothing on these paths needs it
@@ -846,12 +852,15 @@ def test_scipy_probe_sees_a_loaded_scipy_module(tmp_path):
 
 
 def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
-    # a rank SVD that fails must land in the exit-code table
+    # a rank SVD that fails must land in the exit-code table; two clusters
+    # of this forced chain are too wide for the nullity-1 certificate, so
+    # their ranks are taken by SVD
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    code, _, err = run(["spectrum", "--geometry", "chain", "--sites", "4"], capsys)
+    argv = ["spectrum", "--geometry", "chain", "--sites", "16", "--force", "1e-8"]
+    code, _, err = run(argv, capsys)
     assert code == 3
     assert "Traceback" not in err
     assert err.startswith("computation error:")
@@ -1102,9 +1111,18 @@ def test_fixed_numerical_settings_are_unknown_config_keys(capsys, tmp_path, argv
          "dt must be finite and positive"),
         (["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "0", "--n-max", "4",
           "--t-end", "1", "--dt", "0"], "dt must be finite and positive"),
+        # the initial state and sin(theta) are checked without running the command
+        (["evolve", "--geometry", "chain", "--sites", "4", "--site", "99", "--method", "closed",
+          "--t-end", "1"], "site 99 is outside the lattice"),
+        (["bloch", "--geometry", "chain", "--sites", "4", "--force", "1", "--site", "99"],
+         "site 99 is outside the lattice"),
+        (["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "0", "--n-max", "4",
+          "--t-end", "1", "--dt", "0.01", "--site", "99"], "site 99 is outside the lattice"),
+        (["engineer", "--theta", "0", "--x", "0.8", "--gamma-guess", "3+0.7i"],
+         "sin(theta) must be nonzero"),
     ],
     ids=["rwa-x", "rwa-site", "engineer-x", "floquet-sites", "bloch-steps", "evolve-dt",
-         "laser-dt"],
+         "laser-dt", "evolve-site", "bloch-site", "laser-site", "engineer-theta"],
 )
 def test_dump_config_refuses_what_the_run_would_refuse(capsys, tmp_path, argv, message):
     code, out, err = run(argv + ["--dump-config", "d.json"], capsys)

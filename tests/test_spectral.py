@@ -469,12 +469,14 @@ def counting_rank(monkeypatch, rank=None):
 
 class TestJordanShortcut:
     def test_inconsistent_nullities_are_refused(self, monkeypatch):
-        # every rank read as 2 gives the 4-site chain nullity 2, so the
-        # staircase runs; its 2 x 2 compression then has nullity 0, and
-        # nullities [2, 0] give blocks (1, 1), which do not sum to 4
+        # every rank read as 2 gives J_4 nullity 2, so the staircase runs;
+        # its 2 x 2 compression then has nullity 0, and nullities [2, 0]
+        # give blocks (1, 1), which do not sum to 4.  Permuted out of
+        # Hessenberg form, J_4 has corner minors with zeros on their
+        # diagonals, so the nullity-1 certificate fails and the SVD runs
         calls = counting_rank(monkeypatch, lambda sv: 2)
         with pytest.raises(ComputationError) as info:
-            analyze_spectrum(build_hamiltonian(chain(4)))
+            analyze_spectrum(HamiltonianMatrix(entries=jordan_sum([(4, 0.0)], [3, 0, 2, 1])))
         assert str(info.value) == (
             "Jordan structure inconsistent with cluster multiplicity "
             "(nullities [2, 0], multiplicity 4)"
@@ -489,8 +491,9 @@ class TestJordanShortcut:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert spectral._numerical_rank(np.zeros((dim, dim), dtype=complex)) == (0, False)
 
-    def test_chain_takes_one_svd(self, monkeypatch):
-        # nullity 1 is one block of the cluster's full size, from one SVD
+    def test_chain_takes_no_svd(self, monkeypatch):
+        # nullity 1 is one block of the cluster's full size, and on the
+        # Hessenberg chain the certificate proves it without an SVD
         calls = []
         real = np.linalg.svd
 
@@ -501,7 +504,55 @@ class TestJordanShortcut:
         monkeypatch.setattr(np.linalg, "svd", counted)
         report = analyze_spectrum(build_hamiltonian(chain(256)))
         assert [c.jordan_blocks for c in report.clusters] == [(256,)]
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_nullity_certificate_changes_no_report(self, monkeypatch):
+        # a seeded sweep of lattice specs and Jordan sums, Hessenberg,
+        # transposed or permuted: the nullity-1 certificate may only skip
+        # SVDs, so the reports with and without it agree bit for bit
+        rng = np.random.default_rng(25)
+        matrices = []
+        for _ in range(300):
+            kappa1 = 10.0 ** rng.uniform(-6.0, 6.0) * cmath.exp(2j * math.pi * rng.uniform())
+            # kappa2 and F relative to kappa1; a force near delta * s gives
+            # clusters of distinct levels coupled by the Hessenberg bonds
+            kappa2 = 0.0 if rng.uniform() < 0.75 else 10.0 ** rng.uniform(-9.0, 0.0)
+            scales = [0.0, 0.0, 10.0 ** rng.uniform(-10.0, -7.0), 10.0 ** rng.uniform(-7.0, 0.0)]
+            force = rng.choice(scales)
+            sites = int(rng.integers(2, 65))
+            geometry = [Geometry.FiniteChain, Geometry.Ring, Geometry.InfiniteChain][sites % 3]
+            extent = {"window": (-sites // 2, sites - sites // 2)}
+            if geometry is not Geometry.InfiniteChain:
+                extent = {"sites": sites}
+            spec = LatticeSpec(geometry=geometry, kappa1=kappa1, kappa2=kappa2 * kappa1,
+                               force=force * abs(kappa1), **extent)
+            matrices.append(build_hamiltonian(spec).entries)
+        for _ in range(80):
+            sizes = rng.integers(1, 7, size=rng.integers(1, 4))
+            values = rng.choice(BLOCK_VALUES, size=sizes.size)
+            dim = int(sizes.sum())
+            order = rng.permutation(dim) if rng.uniform() < 0.3 else range(dim)
+            entries = jordan_sum(list(zip(sizes, values)), order)
+            matrices.append(np.ascontiguousarray(entries.T) if rng.uniform() < 0.5 else entries)
+
+        real, fired = spectral._nullity_one, []
+
+        def counted(*args):
+            fired.append(real(*args))
+            return fired[-1]
+
+        def summary(report):
+            clusters = [(c.value, c.jordan_blocks, c.perturbation_radius, c.rank_flagged)
+                        for c in report.clusters]
+            return report.eigenvalues.tobytes(), clusters
+
+        reports = []
+        for certificate in (counted, lambda *args: False):
+            monkeypatch.setattr(spectral, "_nullity_one", certificate)
+            reports.append([summary(analyze_spectrum(HamiltonianMatrix(entries=m)))
+                            for m in matrices])
+        assert reports[0] == reports[1]
+        assert sum(fired) >= 100
 
     def test_close_distinct_eigenvalues_are_not_one_block(self, monkeypatch):
         # {0, 1e-10, 2e-10} lies within delta, so H - lambda has nullity 3 at
