@@ -36,15 +36,12 @@ from .lattice import (
     StateVector,
     build_hamiltonian,
     hop_parts,
-    rhs,
 )
 from .spectral import (
-    DispersionSample,
     SpectrumCluster,
     SpectrumReport,
     WannierStarkState,
     analyze_spectrum,
-    bloch_dispersion,
     ring_spectrum,
     wannier_stark_states,
 )
@@ -73,12 +70,9 @@ from .engineering import (
     UnidirectionalRoot,
     effective_hopping,
     effective_hopping_quadrature,
-    kick_events,
     laser_effective_couplings,
     laser_evolve,
     laser_hamiltonian,
-    modulation_envelope,
-    potential,
     rwa_validate,
     solve_unidirectional,
 )

@@ -291,8 +291,8 @@ _EVOLVE_FIELDS = _LATTICE_FIELDS + _STATE_FIELDS + (
 
 
 def _rk4_config(resolved: dict) -> EvolveConfig | None:
-    """Check the options against the method and build the RK4 step control:
-    None for the closed form, and for an rk4 run that still lacks --dt."""
+    """Check the options against the method and build the RK4 step control
+    (None for the closed form)."""
     t_end = resolved["t_end"]
     if resolved["method"] == "closed":
         unset = {"flux_rate": None, "dt": None, "record_every": 1, "renormalize": False}
@@ -307,7 +307,9 @@ def _rk4_config(resolved: dict) -> EvolveConfig | None:
     dt = resolved["dt"]
     if dt is None and t_end == 0.0:
         dt = 1.0  # unused: only the initial state is emitted
-    return None if dt is None else _evolve_config(resolved, t_end, dt)
+    if dt is None:
+        raise _UsageError("--dt is required for method rk4 with t_end > 0")
+    return _evolve_config(resolved, t_end, dt)
 
 
 def _cmd_evolve(args) -> int:
@@ -322,8 +324,6 @@ def _cmd_evolve(args) -> int:
     if resolved["method"] == "closed":
         times = np.linspace(0.0, t_end, resolved["samples"]) if t_end else np.zeros(1)
         traj = evolve_closed_form(spec, c0, times)
-    elif cfg is None:
-        raise _UsageError("--dt is required for method rk4 with t_end > 0")
     else:
         traj = evolve_rk4(spec, c0, cfg, flux_rate=resolved["flux_rate"])
     prefix = resolved["output_prefix"]

@@ -60,9 +60,6 @@ __all__ = [
     "RwaSample",
     "LaserParams",
     "LaserCouplings",
-    "modulation_envelope",
-    "potential",
-    "kick_events",
     "effective_hopping",
     "effective_hopping_quadrature",
     "solve_unidirectional",
@@ -164,45 +161,6 @@ class ModulationProtocol:
         return cls(
             theta=theta, alpha=amplitude.real, beta=amplitude.imag, t1=t1, period=period
         )
-
-
-def modulation_envelope(protocol: ModulationProtocol, t: float) -> float:
-    """Square-wave envelope h(t): +1, -1, +1 over quarters of [0, t1], else 0.
-
-    Evaluated on t folded into [0, period); the integral of h over a full
-    active window vanishes, so the smooth drive imprints no net phase.
-    """
-    tau = math.fmod(t, protocol.period)
-    if tau < 0:
-        tau += protocol.period
-    end = 0.0
-    for duration, h, _ in protocol._schedule:
-        end += duration
-        if tau < end:
-            return h
-    return 0.0
-
-
-def potential(protocol: ModulationProtocol, n: int, t: float) -> complex:
-    """Smooth part of V_n(t): (alpha + i beta) h(t) on even sites, 0 on odd.
-
-    The delta-kick part is not representable as a function value; it is
-    carried separately by :func:`kick_events`, and the propagation holds it as
-    the Peierls phase of the quiet tail (see the module docstring).
-    """
-    if n % 2 != 0:
-        return 0j
-    return protocol.drive_amplitude * modulation_envelope(protocol, t)
-
-
-def kick_events(protocol: ModulationProtocol) -> tuple[tuple[float, float], ...]:
-    """Phase-gradient events per period: (time, phase_per_site).
-
-    The gradient theta is impressed at t1 and unwound at the period boundary,
-    keeping the accumulated drive phase strictly T-periodic (the zig-zag
-    realization).  Each event acts as c_n -> e^{-i phase n} c_n.
-    """
-    return ((protocol.t1, protocol.theta), (protocol.period, -protocol.theta))
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,10 @@ def quasi_energies_analytic(kappa1: complex, drive: FluxDrive) -> QuasiEnergyRep
     """Quasi-energies from the one-period average of the driven dispersion.
 
     mu_l = (E(q_l) / T_B) int_0^{T_B} e^{iFt} dt with q_l = 2 pi l / (N+1)
-    and E(q) = kappa1 e^{iq}, the dispersion of :func:`bloch_dispersion`, so
-    the modes come in the order of :func:`monodromy`.  The phase integral
-    (e^{iF T_B} - 1)/(iF) vanishes identically at T_B = 2 pi / F, so every
-    mu_l collapses to 0; the integral is evaluated, not assumed.
+    and the Bloch dispersion E(q) = kappa1 e^{iq}, so the modes come in the
+    order of :func:`monodromy`.  The phase integral (e^{iF T_B} - 1)/(iF)
+    vanishes identically at T_B = 2 pi / F, so every mu_l collapses to 0; the
+    integral is evaluated, not assumed.
     """
     kappa1 = _require_finite_complex("kappa1", kappa1)
     t_b = drive.period

@@ -20,9 +20,9 @@ only by site n+1.  Three geometries are supported:
 
 H is held as its three cyclic diagonals.  On the flux-threaded ring the
 Peierls phase is a factor e^{ikFt} on diagonal k, so one gather-and-sum of
-phased diagonals applies H(t) in O(N): :func:`rhs` applies H itself and the
-RK4 step applies its banded step matrix.  The dense matrix is formed only for
-the callers that need the whole of it.
+phased diagonals applies H(t) in O(N), and the RK4 step applies its banded
+step matrix.  The dense matrix is formed only for the callers that need the
+whole of it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "HamiltonianMatrix",
     "StateVector",
     "build_hamiltonian",
-    "rhs",
 ]
 
 
@@ -161,7 +160,7 @@ class HamiltonianMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
             raise ValidationError(f"entries must be square and nonempty, got {entries.shape}")
-        if not np.all(np.isfinite(entries.view(float))):
+        if not np.all(np.isfinite(entries)):
             raise ValidationError("Hamiltonian entries must be finite")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -182,7 +181,7 @@ class StateVector:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("state needs a 1-d amplitude array of length >= 1")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.all(np.isfinite(amps)):
             raise ValidationError("state amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -316,22 +315,3 @@ def _check_state(spec: LatticeSpec, state: StateVector, flux_rate: float | None 
         )
     if flux_rate is not None and spec.geometry is not Geometry.Ring:
         raise ValidationError("flux_rate is only defined for Ring geometry")
-
-
-def rhs(
-    spec: LatticeSpec,
-    t: float,
-    state: StateVector,
-    flux_rate: float | None = None,
-) -> StateVector:
-    """Equation-of-motion right-hand side dc/dt = -i H(t) c.
-
-    With ``flux_rate`` = F (Ring only) the hopping acquires a global Peierls
-    phase, i dc_n/dt = kappa1 e^{iFt} c_{n+1} + kappa2 e^{-iFt} c_{n-1}: the
-    gauge representation of a magnetic flux ramped linearly in time through
-    the ring, so cyclic diagonal k of H is multiplied by e^{ikFt}.  H(t) is
-    applied in band form, with or without flux, so a call is O(N).
-    """
-    _check_state(spec, state, flux_rate)
-    h_y = _band_apply(_spec_bands(spec), flux_rate)(t, state.amps)
-    return StateVector(offset=state.offset, amps=-1j * h_y)

@@ -15,7 +15,6 @@ sequence of (H - lambda I)^k.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,16 +27,13 @@ from .lattice import (
     HamiltonianMatrix,
     LatticeSpec,
     StateVector,
-    _require_finite_complex,
     _spec_bands,
 )
 
 __all__ = [
-    "DispersionSample",
     "SpectrumCluster",
     "SpectrumReport",
     "WannierStarkState",
-    "bloch_dispersion",
     "ring_spectrum",
     "analyze_spectrum",
     "wannier_stark_states",
@@ -45,14 +41,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _DELTA = 1e-8  # the one relative scale of clustering and of every rank threshold
-
-
-@dataclass(frozen=True)
-class DispersionSample:
-    """One point of the Bloch dispersion E(q) = kappa1 e^{iq}."""
-
-    q: float
-    energy: complex
 
 
 @dataclass(frozen=True)
@@ -133,23 +121,6 @@ class WannierStarkState:
 
     def amplitude(self, n: int) -> complex:
         return self.amplitudes.amplitude(n)
-
-
-def bloch_dispersion(kappa1: complex, q_values) -> list[DispersionSample]:
-    """Evaluate E(q) = kappa1 e^{iq} = kappa1 cos q + i kappa1 sin q.
-
-    The dispersion of the unidirectional lattice traces a circle of radius
-    |kappa1| in the complex energy plane; q is conventionally taken in
-    [-pi, pi).
-    """
-    kappa1 = _require_finite_complex("kappa1", kappa1)
-    q_arr = np.asarray(q_values, dtype=float)
-    if not np.all(np.isfinite(q_arr)):
-        raise ValidationError("q values must be finite")
-    return [
-        DispersionSample(q=float(q), energy=kappa1 * cmath.exp(1j * q))
-        for q in np.atleast_1d(q_arr)
-    ]
 
 
 def _cluster(

@@ -284,7 +284,7 @@ class TestEvolveCommand:
 class TestConfigHandling:
     def test_flags_override_config(self, capsys, tmp_path):
         (tmp_path / "c.json").write_text(
-            json.dumps({"geometry": "chain", "sites": 4, "t_end": 2.0, "site": 3})
+            json.dumps({"geometry": "chain", "sites": 4, "t_end": 2.0, "dt": 0.01, "site": 3})
         )
         code, _, _ = run(
             [
@@ -1131,6 +1131,16 @@ def test_dump_config_refuses_what_the_run_would_refuse(capsys, tmp_path, argv, m
     assert err.startswith("validation error: ")
     assert message in err
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_config_refuses_an_rk4_run_without_dt(capsys, tmp_path):
+    # a dumped rk4 config without dt would be refused by its own rerun
+    argv = ["evolve", "--geometry", "chain", "--sites", "8", "--method", "rk4", "--t-end", "1"]
+    code, out, err = run(argv + ["--dump-config", "c.json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: --dt is required for method rk4 with t_end > 0\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -27,7 +27,6 @@ from unihop import (
     laser_evolve,
     monodromy,
     revival_error,
-    rhs,
     single_site_state,
 )
 from unihop.lattice import _band_apply, _dense, _spec_bands
@@ -605,13 +604,13 @@ _FLUX_RATE = 2.0 * np.pi / _N
         lambda: evolve_closed_form(
             _FREE_WINDOW, gaussian_state(_FREE_WINDOW, 0.0, 3.0), [0.0, 0.5, 1.0]
         ),
-        lambda: rhs(_CHAIN, 0.0, gaussian_state(_CHAIN, 1000.0, 3.0)),
+        lambda: _band_apply(_spec_bands(_CHAIN))(0.0, gaussian_state(_CHAIN, 1000.0, 3.0).amps),
         lambda: evolve_rk4(
             _FLUX_RING, gaussian_state(_FLUX_RING, 1000.0, 3.0),
             EvolveConfig(t_end=0.2, dt=0.02), flux_rate=_FLUX_RATE,
         ),
-        lambda: rhs(
-            _FLUX_RING, 0.7, gaussian_state(_FLUX_RING, 1000.0, 3.0), flux_rate=_FLUX_RATE
+        lambda: _band_apply(_spec_bands(_FLUX_RING), _FLUX_RATE)(
+            0.7, gaussian_state(_FLUX_RING, 1000.0, 3.0).amps
         ),
     ],
     ids=[

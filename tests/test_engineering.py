@@ -27,12 +27,9 @@ from unihop import (
     effective_hopping_quadrature,
     evolve_rk4,
     gaussian_state,
-    kick_events,
     laser_effective_couplings,
     laser_evolve,
     laser_hamiltonian,
-    modulation_envelope,
-    potential,
     revival_error,
     rwa_validate,
     single_site_state,
@@ -96,39 +93,36 @@ class TestModulationProtocol:
         with pytest.raises(ValidationError):
             ModulationProtocol.with_shape(0.5, 0.5, 1.0, period=0.0)
 
+    @staticmethod
+    def _envelope(p, t):
+        """h(t) read off the schedule's branches, for 0 <= t < period."""
+        end = 0.0
+        for duration, h, _ in p._schedule:
+            end += duration
+            if t < end:
+                return h
+        raise AssertionError(f"t = {t} lies past the schedule's end {end}")
+
     def test_envelope_quarters(self):
         p = ModulationProtocol(theta=0.0, alpha=1.0, beta=0.0, t1=0.8, period=2.0)
-        assert modulation_envelope(p, 0.1) == 1.0
-        assert modulation_envelope(p, 0.4) == -1.0
-        assert modulation_envelope(p, 0.7) == 1.0
-        assert modulation_envelope(p, 1.5) == 0.0
+        assert [self._envelope(p, t) for t in (0.1, 0.4, 0.7, 1.5)] == [1.0, -1.0, 1.0, 0.0]
 
     def test_envelope_is_periodic(self):
-        p = ModulationProtocol(theta=0.0, alpha=1.0, beta=0.0, t1=0.8, period=2.0)
-        for t in (0.1, 0.4, 0.7, 1.5):
-            assert modulation_envelope(p, t + 2.0) == modulation_envelope(p, t)
-            assert modulation_envelope(p, t - 2.0) == modulation_envelope(p, t)
+        # the branches tile exactly one period, so repeating them is T-periodic
+        for t1, period in ((0.8, 2.0), (0.37, 0.5), (1.0 / 3.0, 0.7)):
+            p = ModulationProtocol(theta=0.0, alpha=1.0, beta=0.0, t1=t1, period=period)
+            total = sum(duration for duration, _, _ in p._schedule)
+            assert total == pytest.approx(period, rel=1e-15)
 
     def test_envelope_integrates_to_zero_over_active_window(self):
         p = ModulationProtocol(theta=0.0, alpha=1.0, beta=0.0, t1=0.8, period=2.0)
-        ts = np.linspace(0.0, 0.8, 160001)
-        vals = [modulation_envelope(p, t) for t in ts]
-        assert np.trapezoid(vals, ts) == pytest.approx(0.0, abs=1e-5)
-
-    def test_potential_parity_and_value(self):
-        p = ModulationProtocol(theta=0.3, alpha=2.0, beta=-1.0, t1=0.8, period=2.0)
-        assert potential(p, 3, 0.1) == 0j
-        assert potential(p, 2, 0.4) == -(2.0 - 1.0j)
-        assert potential(p, 0, 1.5) == 0j
-
-    def test_kick_events(self):
-        p = ModulationProtocol(theta=0.3, alpha=1.0, beta=0.0, t1=0.8, period=2.0)
-        assert kick_events(p) == ((0.8, 0.3), (2.0, -0.3))
+        assert sum(duration * h for duration, h, _ in p._schedule) == 0.0
 
     @pytest.mark.parametrize("theta,t1,period", [(0.3, 0.8, 2.0), (-2.1, 0.37, 0.5)])
     def test_schedule_holds_the_gradient_between_the_kick_events(self, theta, t1, period):
         p = ModulationProtocol(theta=theta, alpha=1.0, beta=0.0, t1=t1, period=period)
-        (kick, phase), (unwind, _) = kick_events(p)
+        # the kick impresses theta at t1 and the period boundary unwinds it
+        (kick, phase), (unwind, _) = (t1, theta), (period, -theta)
         start, held = 0.0, []
         for duration, _, gradient in p._schedule:
             if gradient != 0.0:

@@ -9,11 +9,12 @@ from unihop import (
     LatticeSpec,
     StateVector,
     ValidationError,
+    EvolveConfig,
     build_hamiltonian,
+    evolve_rk4,
     hop_parts,
-    rhs,
 )
-from unihop.lattice import _band_product
+from unihop.lattice import _band_apply, _band_product, _spec_bands
 
 
 def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
@@ -154,6 +155,19 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError, match="nonempty"):
             HamiltonianMatrix(entries=np.zeros((0, 0), dtype=complex))
 
+    def test_non_contiguous_entries_accepted(self):
+        entries = np.arange(9, dtype=complex).reshape(3, 3).T
+        assert np.array_equal(HamiltonianMatrix(entries=entries).entries, entries)
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.nan), complex(0.0, -np.inf),
+    ])
+    def test_non_finite_entries_rejected_in_either_part(self, bad):
+        entries = np.zeros((2, 2), dtype=complex)
+        entries[1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            HamiltonianMatrix(entries=entries)
+
 
 class TestStateVector:
     def test_amplitude_lookup_and_norm(self):
@@ -171,8 +185,29 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector(offset=0, amps=np.array([np.inf + 0j]))
 
+    def test_strided_amplitudes_accepted(self):
+        amps = np.arange(6, dtype=complex)[::2]
+        assert np.array_equal(StateVector(offset=0, amps=amps).amps, [0, 2, 4])
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(-np.inf, 0.0), complex(0.0, np.nan), complex(0.0, np.inf),
+    ])
+    def test_non_finite_amplitudes_rejected_in_either_part(self, bad):
+        amps = np.zeros(3, dtype=complex)
+        amps[2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            StateVector(offset=0, amps=amps)
+
+
+def rhs(spec, t, amps, flux_rate=None):
+    """dc/dt = -i H(t) c through the banded operator the integrators apply."""
+    return -1j * _band_apply(_spec_bands(spec), flux_rate)(t, np.asarray(amps, dtype=complex))
+
 
 class TestRhs:
+    """The right-hand side -i H(t) c as the RK4 paths apply it, against the
+    dense references, and the state checks evolve_rk4 runs before applying it."""
+
     def test_matches_matrix_action(self):
         rng = np.random.default_rng(7)
         for spec in (
@@ -181,35 +216,25 @@ class TestRhs:
             infinite((-3, 4), kappa1=2.0, force=-0.7),
         ):
             amps = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-            state = StateVector(offset=spec.offset, amps=amps)
-            got = rhs(spec, 0.0, state)
+            got = rhs(spec, 0.0, amps)
             h = build_hamiltonian(spec).entries
             expected = -1j * (h @ amps)
-            assert np.max(np.abs(got.amps - expected)) <= 1e-15 * np.max(np.abs(expected))
-            assert got.offset == spec.offset
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_two_site_chain_example(self):
-        spec = chain(2)
-        out = rhs(spec, 0.0, StateVector(offset=0, amps=np.array([0.0, 1.0 + 0j])))
-        assert np.array_equal(out.amps, np.array([-1j, 0.0]))
+        out = rhs(chain(2), 0.0, [0.0, 1.0])
+        assert np.array_equal(out, np.array([-1j, 0.0]))
 
     def test_ring_flux_phase_example(self):
         # two-site ring threaded at rate F, sampled at t = pi/F: the Peierls
         # phase is exactly -1, so dc/dt = +i * fwd @ c for c = (1, 0).
         flux_rate = 0.37
-        spec = ring(2)
-        out = rhs(
-            spec,
-            np.pi / flux_rate,
-            StateVector(offset=0, amps=np.array([1.0 + 0j, 0.0])),
-            flux_rate=flux_rate,
-        )
-        assert np.allclose(out.amps, np.array([0.0, 1j]), atol=1e-15)
+        out = rhs(ring(2), np.pi / flux_rate, [1.0, 0.0], flux_rate=flux_rate)
+        assert np.allclose(out, np.array([0.0, 1j]), atol=1e-15)
 
     def test_zero_state_maps_to_zero(self):
-        spec = ring(4, kappa1=2 - 1j, kappa2=0.3)
-        out = rhs(spec, 1.3, StateVector(offset=0, amps=np.zeros(4, dtype=complex)))
-        assert np.array_equal(out.amps, np.zeros(4))
+        out = rhs(ring(4, kappa1=2 - 1j, kappa2=0.3), 1.3, np.zeros(4))
+        assert np.array_equal(out, np.zeros(4))
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -217,13 +242,10 @@ class TestRhs:
         a_amps = rng.normal(size=6) + 1j * rng.normal(size=6)
         b_amps = rng.normal(size=6) + 1j * rng.normal(size=6)
         alpha, beta = 1.7 - 0.2j, -0.8j
-        combo = rhs(
-            spec, 0.9, StateVector(offset=0, amps=alpha * a_amps + beta * b_amps),
-            flux_rate=0.4,
-        )
-        parts = alpha * rhs(spec, 0.9, StateVector(offset=0, amps=a_amps), flux_rate=0.4).amps
-        parts = parts + beta * rhs(spec, 0.9, StateVector(offset=0, amps=b_amps), flux_rate=0.4).amps
-        assert np.max(np.abs(combo.amps - parts)) <= 1e-13 * np.max(np.abs(parts))
+        combo = rhs(spec, 0.9, alpha * a_amps + beta * b_amps, flux_rate=0.4)
+        parts = alpha * rhs(spec, 0.9, a_amps, flux_rate=0.4)
+        parts = parts + beta * rhs(spec, 0.9, b_amps, flux_rate=0.4)
+        assert np.max(np.abs(combo - parts)) <= 1e-13 * np.max(np.abs(parts))
 
     def test_ring_flux_with_force_keeps_onsite_term(self):
         rng = np.random.default_rng(5)
@@ -234,21 +256,21 @@ class TestRhs:
         phase = np.exp(1j * flux_rate * t)
         h = phase * fwd + np.conj(phase) * bwd + np.diag(0.7 * np.arange(5))
         expected = -1j * (h @ amps)
-        got = rhs(spec, t, StateVector(offset=0, amps=amps), flux_rate=flux_rate)
-        assert np.max(np.abs(got.amps - expected)) <= 1e-14 * np.max(np.abs(expected))
+        got = rhs(spec, t, amps, flux_rate=flux_rate)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_flux_requires_ring(self):
         spec = chain(3)
         state = StateVector(offset=0, amps=np.array([1.0 + 0j, 0, 0]))
-        with pytest.raises(ValidationError):
-            rhs(spec, 0.0, state, flux_rate=1.0)
+        with pytest.raises(ValidationError, match="only defined for Ring geometry"):
+            evolve_rk4(spec, state, EvolveConfig(t_end=1.0, dt=0.1), flux_rate=1.0)
 
     def test_state_mismatch_rejected(self):
-        spec = chain(3)
-        with pytest.raises(ValidationError):
-            rhs(spec, 0.0, StateVector(offset=0, amps=np.zeros(4, dtype=complex)))
-        with pytest.raises(ValidationError):
-            rhs(spec, 0.0, StateVector(offset=1, amps=np.zeros(3, dtype=complex)))
+        spec, cfg = chain(3), EvolveConfig(t_end=1.0, dt=0.1)
+        with pytest.raises(ValidationError, match="does not match lattice dimension"):
+            evolve_rk4(spec, StateVector(offset=0, amps=np.zeros(4, dtype=complex)), cfg)
+        with pytest.raises(ValidationError, match="does not match lattice offset"):
+            evolve_rk4(spec, StateVector(offset=1, amps=np.zeros(3, dtype=complex)), cfg)
 
 
 @pytest.mark.parametrize("dim", range(2, 10))

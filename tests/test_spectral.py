@@ -21,7 +21,6 @@ from unihop import (
     SpectrumCluster,
     ValidationError,
     analyze_spectrum,
-    bloch_dispersion,
     build_hamiltonian,
     ring_spectrum,
     wannier_stark_states,
@@ -32,28 +31,6 @@ def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
     return LatticeSpec(
         geometry=Geometry.FiniteChain, kappa1=kappa1, kappa2=kappa2, force=force, sites=sites
     )
-
-
-class TestBlochDispersion:
-    def test_reference_points(self):
-        assert bloch_dispersion(1.0, [0.0])[0].energy == 1.0 + 0j
-        assert bloch_dispersion(1.0, [np.pi / 2])[0].energy == pytest.approx(1j, abs=1e-15)
-        assert bloch_dispersion(2j, [np.pi / 2])[0].energy == pytest.approx(-2.0, abs=1e-15)
-
-    def test_circle_and_winding(self):
-        kappa = 1.3 - 0.4j
-        q = np.linspace(-np.pi, np.pi, 200, endpoint=False)
-        samples = bloch_dispersion(kappa, q)
-        energies = np.array([s.energy for s in samples])
-        assert np.allclose(np.abs(energies), abs(kappa), atol=1e-13)
-        angles = np.unwrap(np.angle(energies))
-        assert angles[-1] - angles[0] == pytest.approx(2 * np.pi * (len(q) - 1) / len(q))
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            bloch_dispersion(complex("inf"), [0.0])
-        with pytest.raises(ValidationError):
-            bloch_dispersion(1.0, [np.nan])
 
 
 class TestRingSpectrum:
