@@ -18,7 +18,12 @@ The ``unihop`` console script (see :mod:`unihop.cli`) exposes the same
 operations with CSV/JSON output.
 """
 
+import os
 import types
+
+# OpenBLAS reads this once, when numpy loads: idle workers then sleep at once
+# (4 is its minimum) instead of spinning a second core; a user's value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .errors import (
     ComputationError,

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 
 __all__ = [
     "Geometry",
@@ -292,13 +293,24 @@ def _spec_bands(spec: LatticeSpec) -> dict[int, np.ndarray]:
     return _bands(spec.dim, spec.kappa1, spec.kappa2, diag=_stark_diagonal(spec), wrap=ring)
 
 
+try:  # physical memory, the bound on a dense H; no limit without sysconf
+    _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL_BYTES = math.inf
+
+
 def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
     """Construct the dense Hamiltonian matrix for ``spec``.
 
     H[n][n+1] = kappa1, H[n+1][n] = kappa2, H[n][n] = F*n with n the absolute
     site index (window indices for InfiniteChain); Ring adds the cyclic wrap
-    entries H[N][0] = kappa1 and H[0][N] = kappa2.
+    entries H[N][0] = kappa1 and H[0][N] = kappa2.  A matrix larger than
+    physical memory is refused before anything is allocated.
     """
+    size = 16 * spec.dim**2
+    if size > _PHYSICAL_BYTES:
+        raise ComputationError(f"a dense {spec.dim} x {spec.dim} H needs {size} bytes, "
+                               f"more than the {_PHYSICAL_BYTES} bytes of physical memory")
     return HamiltonianMatrix(entries=_dense(_spec_bands(spec)), offset=spec.offset)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import unihop
-from unihop import cli, engineering, floquet, spectral
+from unihop import cli, engineering, floquet, lattice, spectral
 from unihop.cli import main
 
 GAMMA_STAR = 3.0017822918018364 + 0.6994075768635631j
@@ -851,6 +851,43 @@ def test_scipy_probe_sees_a_loaded_scipy_module(tmp_path):
     assert "'scipy.linalg'" in _scipy_modules_after("import scipy.linalg", tmp_path)
 
 
+# Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported.
+_NUMPY_IMPORT_PROBE = """
+import builtins, os, sys
+assert "numpy" not in sys.modules
+seen = []
+real_import = builtins.__import__
+
+def spy(name, *args, **kwargs):
+    if name.split(".")[0] == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+    return real_import(name, *args, **kwargs)
+
+builtins.__import__ = spy
+import unihop
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("preset, recorded", [(None, "4"), ("12", "12")], ids=["unset", "user-set"])
+def test_openblas_workers_are_parked_before_numpy_loads(tmp_path, preset, recorded):
+    # OpenBLAS reads the timeout only when it loads, so it must be set first;
+    # a value the user set is kept
+    env = subprocess_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr([recorded])
+
+
 def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
     # a rank SVD that fails must land in the exit-code table; two clusters
     # of this forced chain are too wide for the nullity-1 certificate, so
@@ -864,6 +901,20 @@ def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert err.startswith("computation error:")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dump-h"])
+def test_matrix_larger_than_physical_memory_maps_to_exit_3(monkeypatch, capsys, tmp_path, command):
+    # a pretend 1 KiB machine, so that nothing large is allocated for real
+    monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
+    code, out, err = run([command, "--geometry", "ring", "--sites", "64"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "computation error: a dense 64 x 64 H needs 65536 bytes, "
+        "more than the 1024 bytes of physical memory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def _assert_exit_3(code, err, what):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unihop import (
+    ComputationError,
     Geometry,
     HamiltonianMatrix,
     LatticeSpec,
@@ -14,6 +15,7 @@ from unihop import (
     evolve_rk4,
     hop_parts,
 )
+from unihop import lattice
 from unihop.lattice import _band_apply, _band_product, _spec_bands
 
 
@@ -167,6 +169,21 @@ class TestBuildHamiltonian:
         entries[1, 0] = bad
         with pytest.raises(ValidationError, match="finite"):
             HamiltonianMatrix(entries=entries)
+
+    def test_matrix_larger_than_physical_memory_is_refused_before_allocating(self, monkeypatch):
+        # a pretend 1 KiB machine: nothing large is ever allocated, even when this test fails
+        def no_bands(spec):
+            raise AssertionError("the bands were built before the size check")
+
+        monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
+        monkeypatch.setattr(lattice, "_spec_bands", no_bands)
+        with pytest.raises(ComputationError, match=r"needs 65536 bytes, more than the 1024 bytes"):
+            build_hamiltonian(ring(64))
+
+    def test_matrix_that_fills_physical_memory_is_built(self, monkeypatch):
+        # 8 x 8 complex entries are exactly 1024 bytes
+        monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
+        assert build_hamiltonian(chain(8)).dim == 8
 
 
 class TestStateVector:
