@@ -11,9 +11,14 @@ Every subcommand accepts ``--config FILE`` (JSON object with the same keys
 as the flags, underscores for dashes) and ``--dump-config PATH`` (write the
 fully resolved configuration, including derived defaults, and exit without
 running).  Explicit flags override config values; presets override both,
-since their parameters are pinned.  Re-running any subcommand from a dumped
-config reproduces the original outputs byte for byte: there is no hidden
-randomness anywhere in the toolkit.
+since their parameters are pinned; a config value of null counts as a key not
+given.  ``main`` resolves the values and runs the subcommand's check step
+before it either dumps or runs, so the checks run before ``--dump-config``
+writes (only the RK4 step rule waits for the run).  Re-running any
+subcommand from a dumped config reproduces the original outputs byte for
+byte: there is no hidden randomness anywhere in the toolkit.  An initial
+state or dense matrix that would not fit in physical memory is refused
+(exit 3) before it is allocated.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a single JSON object")
@@ -136,7 +141,8 @@ def _canon(name: str, kind, value):
 def _resolve(args, fields, preset: dict | None = None) -> dict:
     """Merge preset values over CLI flags over config-file values over defaults.
 
-    Presets come first because their parameters are pinned by definition.
+    Presets come first because their parameters are pinned by definition.  A
+    config value of null counts as a key not given.
     """
     config = _load_config(args.config)
     known = {f[0] for f in fields}
@@ -150,7 +156,7 @@ def _resolve(args, fields, preset: dict | None = None) -> dict:
             value = preset[name]
         elif cli_value is not None:
             value = cli_value
-        elif name in config:
+        elif config.get(name) is not None:
             value = config[name]
         elif default is _REQUIRED:
             raise _UsageError(
@@ -160,14 +166,6 @@ def _resolve(args, fields, preset: dict | None = None) -> dict:
             value = default
         resolved[name] = _canon(name, kind, value)
     return resolved
-
-
-def _maybe_dump(args, resolved: dict, command: str) -> bool:
-    if args.dump_config:
-        dump_json(resolved, args.dump_config)
-        print(f"{command}: resolved config written to {args.dump_config}")
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +201,19 @@ def _lattice_spec(resolved: dict) -> LatticeSpec:
     )
 
 
-def _fill_state_defaults(resolved: dict, spec: LatticeSpec) -> None:
-    """Resolve state defaults against the lattice so dumped configs are concrete."""
+def _initial_state(resolved: dict, spec: LatticeSpec) -> StateVector:
+    """Resolve the state defaults against the lattice, so dumped configs are
+    concrete, and build the initial state."""
     if resolved["initial"] == "single":
         if resolved["site"] is None:
             # Middle of the lattice, same convention as the gaussian default;
             # an edge site would sit on the boundary monitor of windowed runs.
             resolved["site"] = spec.offset + (spec.dim - 1) // 2
-    else:
-        if resolved["center"] is None:
-            resolved["center"] = spec.offset + (spec.dim - 1) / 2.0
-        if resolved["width"] is None:
-            resolved["width"] = 3.0
-
-
-def _initial_state(resolved: dict, spec: LatticeSpec) -> StateVector:
-    if resolved["initial"] == "single":
         return single_site_state(spec, resolved["site"])
+    if resolved["center"] is None:
+        resolved["center"] = spec.offset + (spec.dim - 1) / 2.0
+    if resolved["width"] is None:
+        resolved["width"] = 3.0
     return gaussian_state(spec, resolved["center"], resolved["width"])
 
 
@@ -240,20 +234,31 @@ def _period_step(period: float, resolved: dict) -> float:
     return period / steps
 
 
+def _write_trajectory(traj, prefix: str) -> None:
+    write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
+    write_observables_csv(traj, f"{prefix}_observables.csv")
+
+
 # ---------------------------------------------------------------------------
-# spectrum
+# Each subcommand is a check step, (resolved) -> inputs, which builds every
+# checked input and fills the derived defaults into ``resolved``, and a run
+# step, (resolved, *inputs), which computes and writes; main sequences them.
+#
+# spectrum and dump-h
 
 _SPECTRUM_FIELDS = _LATTICE_FIELDS + (
     ("vectors", "bool", False),
     ("output", "str", "spectrum.json"),
 )
 
+_DUMP_H_FIELDS = _LATTICE_FIELDS + (("output", "str", "hamiltonian.json"),)
 
-def _cmd_spectrum(args) -> int:
-    resolved = _resolve(args, _SPECTRUM_FIELDS)
-    spec = _lattice_spec(resolved)
-    if _maybe_dump(args, resolved, "spectrum"):
-        return 0
+
+def _check_lattice(resolved: dict) -> tuple:
+    return (_lattice_spec(resolved),)
+
+
+def _run_spectrum(resolved: dict, spec: LatticeSpec) -> None:
     h = build_hamiltonian(spec)
     report = analyze_spectrum(h)
     ring_check = None
@@ -272,7 +277,12 @@ def _cmd_spectrum(args) -> int:
         f"max_ep_order={max_order} defective={report.is_defective} "
         f"output={resolved['output']}"
     )
-    return 0
+
+
+def _run_dump_h(resolved: dict, spec: LatticeSpec) -> None:
+    h = build_hamiltonian(spec)
+    dump_json(matrix_to_dict(h), resolved["output"])
+    print(f"dump-h: dim={h.dim} offset={h.offset} output={resolved['output']}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +300,10 @@ _EVOLVE_FIELDS = _LATTICE_FIELDS + _STATE_FIELDS + (
 )
 
 
-def _rk4_config(resolved: dict) -> EvolveConfig | None:
-    """Check the options against the method and build the RK4 step control
-    (None for the closed form)."""
+def _check_evolve(resolved: dict) -> tuple:
+    """Check the options against the method; the RK4 step control is None
+    for the closed form."""
+    spec = _lattice_spec(resolved)
     t_end = resolved["t_end"]
     if resolved["method"] == "closed":
         unset = {"flux_rate": None, "dt": None, "record_every": 1, "renormalize": False}
@@ -301,39 +312,34 @@ def _rk4_config(resolved: dict) -> EvolveConfig | None:
                 raise ValidationError(f"{name} requires the rk4 method")
         if t_end != 0.0 and resolved["samples"] < 2:
             raise ValidationError("need samples >= 2 for t_end > 0")
-        return None
-    if resolved["samples"] != 201:  # RK4 records every record_every-th step
-        raise ValidationError("samples requires the closed method")
-    dt = resolved["dt"]
-    if dt is None and t_end == 0.0:
-        dt = 1.0  # unused: only the initial state is emitted
-    if dt is None:
-        raise _UsageError("--dt is required for method rk4 with t_end > 0")
-    return _evolve_config(resolved, t_end, dt)
+        cfg = None
+    else:
+        if resolved["samples"] != 201:  # RK4 records every record_every-th step
+            raise ValidationError("samples requires the closed method")
+        dt = resolved["dt"]
+        if dt is None and t_end == 0.0:
+            dt = 1.0  # unused: only the initial state is emitted
+        if dt is None:
+            raise _UsageError("--dt is required for method rk4 with t_end > 0")
+        cfg = _evolve_config(resolved, t_end, dt)
+    return spec, cfg, _initial_state(resolved, spec)
 
 
-def _cmd_evolve(args) -> int:
-    resolved = _resolve(args, _EVOLVE_FIELDS)
-    spec = _lattice_spec(resolved)
-    _fill_state_defaults(resolved, spec)
-    cfg = _rk4_config(resolved)
-    c0 = _initial_state(resolved, spec)
-    if _maybe_dump(args, resolved, "evolve"):
-        return 0
+def _run_evolve(
+    resolved: dict, spec: LatticeSpec, cfg: EvolveConfig | None, c0: StateVector
+) -> None:
     t_end = resolved["t_end"]
-    if resolved["method"] == "closed":
+    if cfg is None:
         times = np.linspace(0.0, t_end, resolved["samples"]) if t_end else np.zeros(1)
         traj = evolve_closed_form(spec, c0, times)
     else:
         traj = evolve_rk4(spec, c0, cfg, flux_rate=resolved["flux_rate"])
     prefix = resolved["output_prefix"]
-    write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
-    write_observables_csv(traj, f"{prefix}_observables.csv")
+    _write_trajectory(traj, prefix)
     print(
         f"evolve: recorded={len(traj)} t_end={float(traj.times[-1])!r} "
         f"weight_final={float(traj.weight[-1])!r} output_prefix={prefix}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +373,30 @@ _BLOCH_PRESET_COMMON = {
 }
 
 
-def _cmd_bloch(args) -> int:
-    preset = None
-    if args.fig2a or args.fig2b:
-        preset = dict(_BLOCH_PRESET_COMMON)
-        preset["kappa2"] = [1.0, 0.0] if args.fig2a else [0.0, 0.0]
-    resolved = _resolve(args, _BLOCH_FIELDS, preset)
+def _bloch_preset(args) -> dict | None:
+    """The pinned values of ``--fig2a`` or ``--fig2b``; None without a preset."""
+    if not (args.fig2a or args.fig2b):
+        return None
+    return {**_BLOCH_PRESET_COMMON, "kappa2": [1.0, 0.0] if args.fig2a else [0.0, 0.0]}
+
+
+def _check_bloch(resolved: dict) -> tuple:
     spec = _lattice_spec(resolved)
-    _fill_state_defaults(resolved, spec)
     if resolved["force"] == 0.0:
         raise ValidationError("Bloch oscillations need a nonzero force")
     t_b = 2.0 * math.pi / abs(resolved["force"])
     cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
-    c0 = _initial_state(resolved, spec)
-    if _maybe_dump(args, resolved, "bloch"):
-        return 0
+    return spec, cfg, _initial_state(resolved, spec), t_b
+
+
+def _run_bloch(
+    resolved: dict, spec: LatticeSpec, cfg: EvolveConfig, c0: StateVector, t_b: float
+) -> None:
     traj = evolve_rk4(spec, c0, cfg)
     prefix = resolved["output_prefix"]
-    write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
-    write_observables_csv(traj, f"{prefix}_observables.csv")
+    _write_trajectory(traj, prefix)
     rev = revival_error(traj, t_b)
     print(f"bloch: T_B={t_b!r} revival_error={rev!r} output_prefix={prefix}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +412,23 @@ _FLOQUET_FIELDS = (
 )
 
 
-def _cmd_floquet(args) -> int:
-    resolved = _resolve(args, _FLOQUET_FIELDS)
-    kappa1 = pair_to_complex(resolved["kappa1"])
-    kappa2 = pair_to_complex(resolved["kappa2"])
+def _check_floquet(resolved: dict) -> tuple:
     spec = LatticeSpec(
-        geometry=Geometry.Ring, kappa1=kappa1, kappa2=kappa2, sites=resolved["sites"]
+        geometry=Geometry.Ring,
+        kappa1=pair_to_complex(resolved["kappa1"]),
+        kappa2=pair_to_complex(resolved["kappa2"]),
+        sites=resolved["sites"],
     )
     drive = FluxDrive(phi0_rate=resolved["phi0_rate"], sites=resolved["sites"])
-    dt = _period_step(drive.period, resolved)
-    if _maybe_dump(args, resolved, "floquet"):
-        return 0
+    return spec, drive, _period_step(drive.period, resolved)
+
+
+def _run_floquet(resolved: dict, spec: LatticeSpec, drive: FluxDrive, dt: float) -> None:
     report = monodromy(spec, drive, dt)
     analytic = None
-    if kappa2 == 0j:
+    if spec.kappa2 == 0j:
         analytic = [
-            complex_to_pair(z) for z in quasi_energies_analytic(kappa1, drive).mu
+            complex_to_pair(z) for z in quasi_energies_analytic(spec.kappa1, drive).mu
         ]
     max_mu = float(np.max(np.abs(report.mu))) if report.mu.size else 0.0
     out = {
@@ -438,7 +447,6 @@ def _cmd_floquet(args) -> int:
         f"floquet: sites={resolved['sites']} monodromy_defect={report.monodromy_defect!r} "
         f"max_abs_mu={max_mu!r} output={resolved['output']}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +461,17 @@ _ENGINEER_FIELDS = (
 )
 
 
-def _cmd_engineer(args) -> int:
-    resolved = _resolve(args, _ENGINEER_FIELDS)
-    theta, x = resolved["theta"], resolved["x"]
-    kappa = resolved["kappa"]
+def _check_engineer(resolved: dict) -> tuple:
     guess = pair_to_complex(resolved["gamma_guess"])
-    protocol = ModulationProtocol.with_shape(theta, x, guess)
-    _require_sin_theta(theta)
-    if _maybe_dump(args, resolved, "engineer"):
-        return 0
+    protocol = ModulationProtocol.with_shape(resolved["theta"], resolved["x"], guess)
+    _require_sin_theta(resolved["theta"])
+    return (protocol,)
+
+
+def _run_engineer(resolved: dict, protocol: ModulationProtocol) -> None:
+    theta, x, kappa = resolved["theta"], resolved["x"], resolved["kappa"]
     at_guess = effective_hopping(protocol, kappa)
-    root = solve_unidirectional(theta, x, guess)
+    root = solve_unidirectional(theta, x, pair_to_complex(resolved["gamma_guess"]))
     rho = kappa * root.rho
     abs_sigma = abs(kappa) * root.residual
     out = {
@@ -486,7 +494,6 @@ def _cmd_engineer(args) -> int:
         f"abs_sigma={abs_sigma:.3e} iterations={root.iterations} "
         f"output={resolved['output']}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +513,7 @@ _RWA_FIELDS = (
 )
 
 
-def _cmd_rwa(args) -> int:
-    resolved = _resolve(args, _RWA_FIELDS)
+def _check_rwa(resolved: dict) -> tuple:
     kappa = resolved["kappa"]
     if resolved["t_end"] is None:
         resolved["t_end"] = (
@@ -515,26 +521,22 @@ def _cmd_rwa(args) -> int:
         )
     if resolved["site"] is None:
         resolved["site"] = resolved["sites"] // 2
-    sites = resolved["sites"]
-    if not 0 <= resolved["site"] < sites:
-        raise ValidationError(f"site {resolved['site']} is outside 0..{sites - 1}")
+    sites, site = resolved["sites"], resolved["site"]
+    if not 0 <= site < sites:
+        raise ValidationError(f"site {site} is outside 0..{sites - 1}")
     protocol = ModulationProtocol.with_shape(
         resolved["theta"],
         resolved["x"],
         pair_to_complex(resolved["gamma"]),
         period=resolved["period"],
     )
-    if _maybe_dump(args, resolved, "rwa"):
-        return 0
-    amps = np.zeros(sites, dtype=complex)
-    amps[resolved["site"]] = 1.0
+    chain = LatticeSpec(geometry=Geometry.FiniteChain, kappa1=0j, sites=sites)
+    return protocol, single_site_state(chain, site)
+
+
+def _run_rwa(resolved: dict, protocol: ModulationProtocol, c0: StateVector) -> None:
     samples = rwa_validate(
-        protocol,
-        kappa,
-        resolved["ratios"],
-        sites,
-        StateVector(offset=0, amps=amps),
-        resolved["t_end"],
+        protocol, resolved["kappa"], resolved["ratios"], resolved["sites"], c0, resolved["t_end"]
     )
     write_rwa_csv(samples, resolved["output"])
     discs = [s.discrepancy for s in samples]
@@ -544,7 +546,6 @@ def _cmd_rwa(args) -> int:
         f"rwa: discrepancies=[{listing}] strictly_decreasing={decreasing} "
         f"output={resolved['output']}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +569,7 @@ _LASER_FIELDS = _STATE_FIELDS + (
 )
 
 
-def _cmd_laser(args) -> int:
-    resolved = _resolve(args, _LASER_FIELDS)
+def _check_laser(resolved: dict) -> tuple:
     params = LaserParams(
         gain=resolved["gain"],
         loss=resolved["loss"],
@@ -584,38 +584,18 @@ def _cmd_laser(args) -> int:
         kappa1=0j,
         window=(resolved["n_min"], resolved["n_max"]),
     )
-    _fill_state_defaults(resolved, window_spec)
     cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
-    c0 = _initial_state(resolved, window_spec)
-    if _maybe_dump(args, resolved, "laser"):
-        return 0
+    return params, cfg, _initial_state(resolved, window_spec)
+
+
+def _run_laser(resolved: dict, params: LaserParams, cfg: EvolveConfig, c0: StateVector) -> None:
     traj = laser_evolve(params, c0, cfg)
     prefix = resolved["output_prefix"]
-    write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
-    write_observables_csv(traj, f"{prefix}_observables.csv")
+    _write_trajectory(traj, prefix)
     print(
         f"laser: recorded={len(traj)} weight_final={float(traj.weight[-1])!r} "
         f"output_prefix={prefix}"
     )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# dump-h
-
-_DUMP_H_FIELDS = _LATTICE_FIELDS + (("output", "str", "hamiltonian.json"),)
-
-
-def _cmd_dump_h(args) -> int:
-    resolved = _resolve(args, _DUMP_H_FIELDS)
-    spec = _lattice_spec(resolved)
-    if _maybe_dump(args, resolved, "dump-h"):
-        return 0
-    h = build_hamiltonian(spec)
-    dump_json(matrix_to_dict(h), resolved["output"])
-    print(f"dump-h: dim={h.dim} offset={h.offset} output={resolved['output']}")
-    return 0
-
 
 # ---------------------------------------------------------------------------
 # parser assembly and entry point
@@ -656,16 +636,16 @@ _ARGPARSE = {
     "str": {},
 }
 
-_COMMANDS = (
-    ("spectrum", "eigenvalues, Jordan structure, EP order", _SPECTRUM_FIELDS, _cmd_spectrum),
-    ("evolve", "time evolution (closed form or RK4)", _EVOLVE_FIELDS, _cmd_evolve),
-    ("bloch", "Bloch-oscillation runs (with pinned presets)", _BLOCH_FIELDS, _cmd_bloch),
-    ("floquet", "flux-driven ring: monodromy and quasi-energies", _FLOQUET_FIELDS, _cmd_floquet),
-    ("engineer", "solve sigma = 0 for the drive area Gamma", _ENGINEER_FIELDS, _cmd_engineer),
-    ("rwa", "stroboscopic check of the effective model", _RWA_FIELDS, _cmd_rwa),
-    ("laser", "mode-locked-laser modal dynamics", _LASER_FIELDS, _cmd_laser),
-    ("dump-h", "write the Hamiltonian matrix as JSON", _DUMP_H_FIELDS, _cmd_dump_h),
-)
+_COMMANDS = {  # name -> (summary, fields, check step, run step)
+    "spectrum": ("eigenvalues, Jordan structure, EP order", _SPECTRUM_FIELDS, _check_lattice, _run_spectrum),
+    "evolve": ("time evolution (closed form or RK4)", _EVOLVE_FIELDS, _check_evolve, _run_evolve),
+    "bloch": ("Bloch-oscillation runs (with pinned presets)", _BLOCH_FIELDS, _check_bloch, _run_bloch),
+    "floquet": ("flux-driven ring: monodromy and quasi-energies", _FLOQUET_FIELDS, _check_floquet, _run_floquet),
+    "engineer": ("solve sigma = 0 for the drive area Gamma", _ENGINEER_FIELDS, _check_engineer, _run_engineer),
+    "rwa": ("stroboscopic check of the effective model", _RWA_FIELDS, _check_rwa, _run_rwa),
+    "laser": ("mode-locked-laser modal dynamics", _LASER_FIELDS, _check_laser, _run_laser),
+    "dump-h": ("write the Hamiltonian matrix as JSON", _DUMP_H_FIELDS, _check_lattice, _run_dump_h),
+}
 
 
 def _build_parser() -> _Parser:
@@ -675,7 +655,7 @@ def _build_parser() -> _Parser:
         epilog="Exit codes: 0 ok, 1 usage, 2 validation, 3 computation, 4 I/O.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, summary, fields, handler in _COMMANDS:
+    for command, (summary, fields, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", metavar="FILE", help=_HELP["config"])
         p.add_argument("--dump-config", metavar="PATH", help=_HELP["dump_config"])
@@ -693,17 +673,25 @@ def _build_parser() -> _Parser:
             group.add_argument(
                 "--fig2b", action="store_true", help="unidirectional demo (kappa2 = 0)"
             )
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    """Resolve the subcommand's values, run its check step, then either write
+    the resolved config (``--dump-config``) or run the command."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
+        args = _build_parser().parse_args(argv)
+        if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        return args.handler(args)
+        _, fields, check, run = _COMMANDS[args.command]
+        resolved = _resolve(args, fields, _bloch_preset(args) if args.command == "bloch" else None)
+        inputs = check(resolved)
+        if args.dump_config:
+            dump_json(resolved, args.dump_config)
+            print(f"{args.command}: resolved config written to {args.dump_config}")
+        else:
+            run(resolved, *inputs)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from .lattice import (
     _band_apply,
     _band_product,
     _check_state,
+    _require_memory,
     _spec_bands,
 )
 
@@ -133,6 +134,7 @@ class StateTrajectory:
 
 def single_site_state(spec: LatticeSpec, n0: int) -> StateVector:
     """Unit excitation at absolute site n0."""
+    _require_memory(16 * spec.dim, f"a {spec.dim}-site state")
     amps = np.zeros(spec.dim, dtype=complex)
     i = n0 - spec.offset
     if not 0 <= i < spec.dim:
@@ -151,6 +153,7 @@ def gaussian_state(spec: LatticeSpec, center: float, width: float) -> StateVecto
     """
     if not (math.isfinite(center) and math.isfinite(width)) or width <= 0:
         raise ValidationError("gaussian needs finite center and positive width")
+    _require_memory(16 * spec.dim, f"a {spec.dim}-site state")
     n = spec.site_indices.astype(float)
     with np.errstate(over="ignore"):  # an overflowing ratio gives amplitude exp(-inf) = 0
         amps = np.exp(-(((n - center) / width) ** 2)).astype(complex)

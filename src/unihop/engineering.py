@@ -50,7 +50,7 @@ from .errors import (
 )
 from .lattice import (
     Geometry, HamiltonianMatrix, LatticeSpec, StateVector, _bands, _dense, _require_finite_real,
-    _spec_bands,
+    _require_memory, _spec_bands,
 )
 
 __all__ = [
@@ -434,6 +434,7 @@ def rwa_validate(
     if int(sites) != sites or sites < 2:
         raise ValidationError("need an integer sites >= 2")
     sites = int(sites)
+    _require_memory(16 * sites**2, f"a dense {sites} x {sites} generator")
     if len(c0) != sites or c0.offset != 0:
         raise ValidationError("c0 must cover sites 0..sites-1 at offset 0")
     if c0.norm() == 0.0:

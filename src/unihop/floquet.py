@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _rk4_plan
 from .errors import ComputationError, ValidationError
-from .lattice import Geometry, LatticeSpec, _require_finite_complex, _spec_bands
+from .lattice import Geometry, LatticeSpec, _require_finite_complex, _require_memory, _spec_bands
 
 __all__ = [
     "FluxDrive",
@@ -177,6 +177,7 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
         raise ValidationError("the ring flux supplies the force; set spec.force = 0")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("dt must be positive and finite")
+    _require_memory(16 * spec.dim**2, f"a dense {spec.dim} x {spec.dim} monodromy")
     products = _bloch_products(spec, drive.force, drive.period, dt)
     if np.any(np.abs(products) < 1e-300):
         raise ComputationError("monodromy is numerically singular")

@@ -293,10 +293,17 @@ def _spec_bands(spec: LatticeSpec) -> dict[int, np.ndarray]:
     return _bands(spec.dim, spec.kappa1, spec.kappa2, diag=_stark_diagonal(spec), wrap=ring)
 
 
-try:  # physical memory, the bound on a dense H; no limit without sysconf
+try:  # physical memory, the bound of _require_memory; no limit without sysconf
     _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):
     _PHYSICAL_BYTES = math.inf
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse ``what``, before it is allocated, when its ``nbytes`` exceed physical memory."""
+    if nbytes > _PHYSICAL_BYTES:
+        raise ComputationError(f"{what} needs {nbytes} bytes, "
+                               f"more than the {_PHYSICAL_BYTES} bytes of physical memory")
 
 
 def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
@@ -307,10 +314,7 @@ def build_hamiltonian(spec: LatticeSpec) -> HamiltonianMatrix:
     entries H[N][0] = kappa1 and H[0][N] = kappa2.  A matrix larger than
     physical memory is refused before anything is allocated.
     """
-    size = 16 * spec.dim**2
-    if size > _PHYSICAL_BYTES:
-        raise ComputationError(f"a dense {spec.dim} x {spec.dim} H needs {size} bytes, "
-                               f"more than the {_PHYSICAL_BYTES} bytes of physical memory")
+    _require_memory(16 * spec.dim**2, f"a dense {spec.dim} x {spec.dim} H")
     return HamiltonianMatrix(entries=_dense(_spec_bands(spec)), offset=spec.offset)
 
 

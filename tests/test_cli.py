@@ -357,10 +357,48 @@ class TestConfigHandling:
         assert "unknown config keys" in err
 
     def test_invalid_json_config(self, capsys, tmp_path):
-        (tmp_path / "c.json").write_text("{not json")
-        code, _, err = run(["spectrum", "--config", "c.json"], capsys)
-        assert code == 2
-        assert "not valid JSON" in err
+        for content in (b"{not json", b"\xff\xfe{"):  # bad syntax; bytes that are not UTF-8
+            (tmp_path / "c.json").write_bytes(content)
+            code, out, err = run(["spectrum", "--geometry", "chain", "--sites", "3",
+                                  "--config", "c.json"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("validation error: config file 'c.json' is not valid JSON: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, key, code",
+        [
+            (["spectrum", "--geometry", "chain", "--sites", "3"], "output", 0),
+            (["spectrum", "--sites", "3"], "geometry", 1),
+            (["engineer", "--x", "0.8", "--gamma-guess", "3+0.7i"], "theta", 1),
+            (["evolve", "--geometry", "chain", "--sites", "4", "--method", "closed",
+              "--t-end", "1"], "samples", 0),
+            (["evolve", "--geometry", "chain", "--sites", "4", "--method", "closed"], "t_end", 1),
+        ],
+        ids=["spectrum-output", "spectrum-geometry", "engineer-theta", "evolve-samples",
+             "evolve-t_end"],
+    )
+    def test_null_config_value_counts_as_not_given(
+        self, capsys, tmp_path, monkeypatch, argv, key, code
+    ):
+        # a default fills the null; a required field is a usage error, as when omitted
+        runs = []
+        for name, config in (("null", {key: None}), ("omitted", {})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            result = run(argv + ["--config", str(tmp_path / f"{name}.json")], capsys)
+            files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+            runs.append((result, files))
+        assert runs[0] == runs[1]
+        (actual, _, err), files = runs[0]
+        assert actual == code
+        assert bool(files) == (code == 0)
+        if code:
+            flag = key.replace("_", "-")
+            assert err == f"usage error: --{flag} is required (as a flag or config key)\n"
 
 
 class TestBlochCommand:
@@ -1182,6 +1220,31 @@ def test_dump_config_refuses_what_the_run_would_refuse(capsys, tmp_path, argv, m
     assert err.startswith("validation error: ")
     assert message in err
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--geometry", "chain", "--sites", _HUGE, "--t-end", "0"],
+        ["bloch", "--geometry", "chain", "--sites", _HUGE, "--force", "1"],
+        ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "0", "--n-max", _HUGE,
+         "--t-end", "1", "--dt", "0.01"],
+        ["floquet", "--sites", _HUGE],
+        ["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i", "--sites", _HUGE],
+    ],
+    ids=["evolve", "bloch", "laser", "floquet", "rwa"],
+)
+def test_site_count_beyond_physical_memory_maps_to_exit_3(capsys, tmp_path, argv):
+    # numpy refuses this shape before it allocates, so a failing run allocates nothing
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"computation error: .* needs \d+ bytes, more than the \d+ bytes "
+                        r"of physical memory\n", err)
     assert list(tmp_path.iterdir()) == []
 
 

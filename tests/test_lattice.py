@@ -5,15 +5,21 @@ import pytest
 
 from unihop import (
     ComputationError,
+    FluxDrive,
     Geometry,
     HamiltonianMatrix,
     LatticeSpec,
+    ModulationProtocol,
     StateVector,
     ValidationError,
     EvolveConfig,
     build_hamiltonian,
     evolve_rk4,
+    gaussian_state,
     hop_parts,
+    monodromy,
+    rwa_validate,
+    single_site_state,
 )
 from unihop import lattice
 from unihop.lattice import _band_apply, _band_product, _spec_bands
@@ -184,6 +190,27 @@ class TestBuildHamiltonian:
         # 8 x 8 complex entries are exactly 1024 bytes
         monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
         assert build_hamiltonian(chain(8)).dim == 8
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: single_site_state(chain(128), 0), "a 128-site state needs 2048 bytes"),
+            (lambda: gaussian_state(chain(128), 64.0, 3.0), "a 128-site state needs 2048 bytes"),
+            (lambda: monodromy(ring(16), FluxDrive(phi0_rate=1.0, sites=16), 1e-3),
+             "a dense 16 x 16 monodromy needs 4096 bytes"),
+            (lambda: rwa_validate(ModulationProtocol.with_shape(1.5, 0.8, 3 + 0.7j), 1.0, [5.0],
+                                  16, single_site_state(chain(16), 8), 2 * np.pi),
+             "a dense 16 x 16 generator needs 4096 bytes"),
+        ],
+        ids=["single-site", "gaussian", "monodromy", "rwa"],
+    )
+    def test_arrays_sized_by_the_site_count_are_refused_beyond_physical_memory(
+        self, monkeypatch, build, message
+    ):
+        # a pretend 1 KiB machine, so that nothing large is allocated for real
+        monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
+        with pytest.raises(ComputationError, match=f"{message}, more than the 1024 bytes"):
+            build()
 
 
 class TestStateVector:

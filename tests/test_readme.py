@@ -1,5 +1,6 @@
 """The README's examples run as written: the python blocks in order, in one
-namespace, and every command line of the command block reruns byte for byte."""
+namespace, and every command line of the command block reruns byte for byte,
+both as written and from its dumped config."""
 
 import re
 import shlex
@@ -32,15 +33,25 @@ def _readme_commands() -> list[list[str]]:
     return [command[1:] for command in commands]
 
 
+def _run_in(workdir: Path, monkeypatch, argv: list[str]) -> dict[str, bytes]:
+    """Run ``argv`` in a fresh ``workdir`` and return the files it wrote."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_reruns_byte_for_byte(capsys, tmp_path, monkeypatch, argv):
     runs = []
     for name in ("first", "second"):
-        workdir = tmp_path / name
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert main(argv) == 0
-        files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        files = _run_in(tmp_path / name, monkeypatch, argv)
         assert files
         runs.append((capsys.readouterr().out, files))
     assert runs[0] == runs[1]
+    # its dumped config reruns, in a fresh directory, to the same bytes
+    config = tmp_path / "config.json"
+    assert _run_in(tmp_path / "dump", monkeypatch, argv + ["--dump-config", str(config)]) == {}
+    assert capsys.readouterr().out == f"{argv[0]}: resolved config written to {config}\n"
+    files = _run_in(tmp_path / "reload", monkeypatch, [argv[0], "--config", str(config)])
+    assert (capsys.readouterr().out, files) == runs[0]
