@@ -13,8 +13,8 @@ fully resolved configuration, including derived defaults, and exit without
 running).  Explicit flags override config values; presets override both,
 since their parameters are pinned; a config value of null counts as a key not
 given.  ``main`` resolves the values and runs the subcommand's check step
-before it either dumps or runs, so the checks run before ``--dump-config``
-writes (only the RK4 step rule waits for the run).  Re-running any
+before it either dumps or runs, so every refusal of the run, the RK4 step
+rule included, comes before ``--dump-config`` writes.  Re-running any
 subcommand from a dumped config reproduces the original outputs byte for
 byte: there is no hidden randomness anywhere in the toolkit.  An initial
 state or dense matrix that would not fit in physical memory is refused
@@ -32,16 +32,19 @@ import numpy as np
 
 from .dynamics import (
     EvolveConfig,
+    _closed_form_refusals,
+    _dt_scale,
+    _step_count,
     evolve_closed_form,
     evolve_rk4,
     gaussian_state,
     revival_error,
     single_site_state,
 )
-from .engineering import LaserParams, ModulationProtocol, _require_sin_theta, effective_hopping, laser_evolve, rwa_validate, solve_unidirectional
+from .engineering import LaserParams, ModulationProtocol, _laser_lattice, _laser_scale, _require_sin_theta, _rwa_plan, effective_hopping, laser_evolve, rwa_validate, solve_unidirectional
 from .errors import ComputationError, ValidationError
-from .floquet import FluxDrive, monodromy, quasi_energies_analytic
-from .lattice import Geometry, LatticeSpec, StateVector, build_hamiltonian
+from .floquet import FluxDrive, _monodromy_refusals, monodromy, quasi_energies_analytic
+from .lattice import Geometry, LatticeSpec, StateVector, _check_state, build_hamiltonian
 from .serialize import (
     complex_to_pair,
     dump_json,
@@ -234,6 +237,12 @@ def _period_step(period: float, resolved: dict) -> float:
     return period / steps
 
 
+def _check_rk4(spec: LatticeSpec, c0: StateVector, cfg: EvolveConfig, flux_rate=None) -> None:
+    """The refusals of ``evolve_rk4`` ahead of its first step, its step rule included."""
+    _check_state(spec, c0, flux_rate)
+    _step_count(cfg.t_end, cfg.dt, _dt_scale(spec, flux_rate), "the fastest scale")
+
+
 def _write_trajectory(traj, prefix: str) -> None:
     write_trajectory_csv(traj, f"{prefix}_trajectory.csv")
     write_observables_csv(traj, f"{prefix}_observables.csv")
@@ -322,7 +331,12 @@ def _check_evolve(resolved: dict) -> tuple:
         if dt is None:
             raise _UsageError("--dt is required for method rk4 with t_end > 0")
         cfg = _evolve_config(resolved, t_end, dt)
-    return spec, cfg, _initial_state(resolved, spec)
+    c0 = _initial_state(resolved, spec)
+    if cfg is None:
+        _closed_form_refusals(spec, c0)
+    else:
+        _check_rk4(spec, c0, cfg, resolved["flux_rate"])
+    return spec, cfg, c0
 
 
 def _run_evolve(
@@ -384,18 +398,22 @@ def _check_bloch(resolved: dict) -> tuple:
     spec = _lattice_spec(resolved)
     if resolved["force"] == 0.0:
         raise ValidationError("Bloch oscillations need a nonzero force")
+    if not resolved["periods"] >= 1.0:  # the revival is read at one Bloch period
+        raise ValidationError(f"periods must be >= 1, got {resolved['periods']!r}")
     t_b = 2.0 * math.pi / abs(resolved["force"])
     cfg = _evolve_config(resolved, resolved["periods"] * t_b, _period_step(t_b, resolved))
-    return spec, cfg, _initial_state(resolved, spec), t_b
+    c0 = _initial_state(resolved, spec)
+    _check_rk4(spec, c0, cfg)
+    return spec, cfg, c0, t_b
 
 
 def _run_bloch(
     resolved: dict, spec: LatticeSpec, cfg: EvolveConfig, c0: StateVector, t_b: float
 ) -> None:
     traj = evolve_rk4(spec, c0, cfg)
+    rev = revival_error(traj, t_b)
     prefix = resolved["output_prefix"]
     _write_trajectory(traj, prefix)
-    rev = revival_error(traj, t_b)
     print(f"bloch: T_B={t_b!r} revival_error={rev!r} output_prefix={prefix}")
 
 
@@ -420,7 +438,9 @@ def _check_floquet(resolved: dict) -> tuple:
         sites=resolved["sites"],
     )
     drive = FluxDrive(phi0_rate=resolved["phi0_rate"], sites=resolved["sites"])
-    return spec, drive, _period_step(drive.period, resolved)
+    dt = _period_step(drive.period, resolved)
+    _monodromy_refusals(spec, drive, dt)
+    return spec, drive, dt
 
 
 def _run_floquet(resolved: dict, spec: LatticeSpec, drive: FluxDrive, dt: float) -> None:
@@ -531,7 +551,9 @@ def _check_rwa(resolved: dict) -> tuple:
         period=resolved["period"],
     )
     chain = LatticeSpec(geometry=Geometry.FiniteChain, kappa1=0j, sites=sites)
-    return protocol, single_site_state(chain, site)
+    c0 = single_site_state(chain, site)
+    _rwa_plan(protocol, resolved["kappa"], resolved["ratios"], sites, c0, resolved["t_end"])
+    return protocol, c0
 
 
 def _run_rwa(resolved: dict, protocol: ModulationProtocol, c0: StateVector) -> None:
@@ -585,7 +607,10 @@ def _check_laser(resolved: dict) -> tuple:
         window=(resolved["n_min"], resolved["n_max"]),
     )
     cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
-    return params, cfg, _initial_state(resolved, window_spec)
+    c0 = _initial_state(resolved, window_spec)
+    lattice, _ = _laser_lattice(params, window_spec.window)
+    _step_count(cfg.t_end, cfg.dt, _laser_scale(params, lattice), "the laser scales")
+    return params, cfg, c0
 
 
 def _run_laser(resolved: dict, params: LaserParams, cfg: EvolveConfig, c0: StateVector) -> None:

@@ -243,6 +243,17 @@ def _observables(
     )
 
 
+def _closed_form_refusals(spec: LatticeSpec, c0: StateVector) -> None:
+    """The refusals of :func:`evolve_closed_form` that need no sample times."""
+    if spec.kappa2 != 0j:
+        raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
+    if spec.force != 0.0 and spec.geometry is Geometry.Ring:
+        raise ValidationError("closed form on a ring requires F = 0; use evolve_rk4")
+    _check_state(spec, c0)
+    if c0.norm() == 0.0:
+        raise ValidationError("initial state must be nonzero")
+
+
 def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajectory:
     """Exact evolution of the unidirectional lattice (kappa2 = 0).
 
@@ -256,14 +267,8 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
     RK4, growth beyond max|c| > 1e150 at any requested time aborts with
     :class:`OverflowAbort`.
     """
-    if spec.kappa2 != 0j:
-        raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
+    _closed_form_refusals(spec, c0)
     force = spec.force
-    if force != 0.0 and spec.geometry is Geometry.Ring:
-        raise ValidationError("closed form on a ring requires F = 0; use evolve_rk4")
-    _check_state(spec, c0)
-    if c0.norm() == 0.0:
-        raise ValidationError("initial state must be nonzero")
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(t_arr)):
         raise ValidationError("times must be finite")
@@ -302,7 +307,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
 
 
 def _dt_scale(spec: LatticeSpec, flux_rate: float | None) -> float:
-    extent = max(spec.dim, int(np.abs(spec.site_indices).max()))
+    extent = max(spec.dim, abs(spec.offset), abs(spec.offset + spec.dim - 1))
     scale = max(abs(spec.kappa1), abs(spec.kappa2), abs(spec.force) * extent)
     if flux_rate is not None:
         scale = max(scale, abs(flux_rate))
@@ -344,16 +349,12 @@ def _increment(bands: dict, rate: float | None, h: float) -> dict[int, np.ndarra
     }
 
 
-def _rk4_plan(bands: dict, rate: float | None, t_end: float, dt: float, scale: float, what: str):
-    """The plan of every RK4 run: (n_steps, h, Delta, growth).
-
-    The step rule is dt <= 0.05 / ``scale``, the fastest rate (``what`` names
-    it); n_steps = ceil(t_end / dt) uniform steps h = t_end / n_steps <= dt
-    land on t_end; Delta are the bands of :func:`_increment` at h.  Peierls
-    phases have modulus 1, so max|(I + Delta(t)) y| <= growth max|y| at every
-    t, with growth (a numpy float: a huge power is inf) the largest row sum
-    |1 + Delta_0| + sum_{m != 0} |Delta_m| times 1 + 1e-12 for rounding.
-    """
+def _step_count(t_end: float, dt: float, scale: float, what: str) -> int:
+    """The RK4 step count n_steps = ceil(t_end / dt) under the step rule
+    dt <= 0.05 / ``scale``, the fastest rate (``what`` names it); a run to
+    t_end = 0 takes no step and meets no rule.  The CLI check steps call it too."""
+    if t_end == 0.0:
+        return 0
     if scale > 0 and dt > 0.05 / scale * (1.0 + 1e-12):
         raise ValidationError(
             f"dt = {dt:.3g} does not resolve {what} (need dt <= {0.05 / scale:.3g})"
@@ -361,7 +362,20 @@ def _rk4_plan(bands: dict, rate: float | None, t_end: float, dt: float, scale: f
     steps = t_end / dt * (1.0 - 1e-12)
     if not math.isfinite(steps):
         raise ValidationError(f"t_end / dt = {t_end:.6g} / {dt:.6g} is too many steps to take")
-    n_steps = max(1, math.ceil(steps))
+    return max(1, math.ceil(steps))
+
+
+def _rk4_plan(bands: dict, rate: float | None, t_end: float, dt: float, scale: float, what: str):
+    """The plan of every RK4 run: (n_steps, h, Delta, growth).
+
+    n_steps comes from :func:`_step_count`, and the uniform steps
+    h = t_end / n_steps <= dt land on t_end; Delta are the bands of
+    :func:`_increment` at h.  Peierls phases have modulus 1, so
+    max|(I + Delta(t)) y| <= growth max|y| at every t, with growth (a numpy
+    float: a huge power is inf) the largest row sum
+    |1 + Delta_0| + sum_{m != 0} |Delta_m| times 1 + 1e-12 for rounding.
+    """
+    n_steps = _step_count(t_end, dt, scale, what)
     h = t_end / n_steps
     delta = _increment(bands, rate, h)
     rows = sum(np.abs(d) for m, d in delta.items() if m != 0) + np.abs(delta[0] + 1.0)

@@ -403,6 +403,45 @@ class RwaSample:
     discrepancy: float
 
 
+def _rwa_plan(
+    protocol: ModulationProtocol, kappa: float, omega_ratios, sites: int, c0: StateVector, t_end: float
+) -> list[tuple[float, float, ModulationProtocol, int]]:
+    """The refusals of :func:`rwa_validate`, in its order, and for each ratio
+    the (ratio, period, rescaled protocol, whole periods) that it propagates."""
+    t_end = _require_finite_real("t_end", t_end)
+    if int(sites) != sites or sites < 2:
+        raise ValidationError("need an integer sites >= 2")
+    sites = int(sites)
+    _require_memory(16 * sites**2, f"a dense {sites} x {sites} generator")
+    if len(c0) != sites or c0.offset != 0:
+        raise ValidationError("c0 must cover sites 0..sites-1 at offset 0")
+    if c0.norm() == 0.0:
+        raise ValidationError("c0 must be nonzero")
+    ratios = [float(r) for r in np.atleast_1d(np.asarray(omega_ratios, dtype=float))]
+    if any(not math.isfinite(r) or r <= 0 for r in ratios):
+        raise ValidationError("omega ratios must be positive (fast drive means >= 5)")
+    kappa = float(kappa)
+    plan = []
+    for ratio in ratios:
+        if kappa != 0.0:
+            period = 2.0 * math.pi / (ratio * abs(kappa))
+            scaled = ModulationProtocol.with_shape(
+                protocol.theta, protocol.x, protocol.gamma, period=period
+            )
+        else:
+            period = protocol.period
+            scaled = protocol
+        cycles = t_end / period
+        m_periods = round(cycles)
+        if m_periods < 1 or abs(cycles - m_periods) > 1e-9 * max(1.0, cycles):
+            raise ValidationError(
+                f"t_end = {t_end:.6g} is not an integer number of drive periods "
+                f"at ratio {ratio:g} (T = {period:.6g})"
+            )
+        plan.append((ratio, period, scaled, m_periods))
+    return plan
+
+
 def rwa_validate(
     protocol: ModulationProtocol,
     kappa: float,
@@ -430,19 +469,8 @@ def rwa_validate(
     With kappa = 0 the ratios set no scale and the protocol's own period is
     used unscaled.
     """
-    t_end = _require_finite_real("t_end", t_end)
-    if int(sites) != sites or sites < 2:
-        raise ValidationError("need an integer sites >= 2")
-    sites = int(sites)
-    _require_memory(16 * sites**2, f"a dense {sites} x {sites} generator")
-    if len(c0) != sites or c0.offset != 0:
-        raise ValidationError("c0 must cover sites 0..sites-1 at offset 0")
-    if c0.norm() == 0.0:
-        raise ValidationError("c0 must be nonzero")
-    ratios = [float(r) for r in np.atleast_1d(np.asarray(omega_ratios, dtype=float))]
-    if any(not math.isfinite(r) or r <= 0 for r in ratios):
-        raise ValidationError("omega ratios must be positive (fast drive means >= 5)")
-    kappa = float(kappa)
+    plan = _rwa_plan(protocol, kappa, omega_ratios, sites, c0, t_end)
+    t_end, sites, kappa = float(t_end), int(sites), float(kappa)
     hopping = effective_hopping(protocol, kappa)
     h_eff = _dense(_bands(sites, hopping.rho, hopping.sigma))
     reference = _checked("effective propagator", _expm, -1j * h_eff * t_end) @ c0.amps
@@ -451,22 +479,7 @@ def rwa_validate(
         raise ComputationError("effective evolution annihilated the state")
     even = (np.arange(sites) % 2 == 0).astype(float)
     samples: list[RwaSample] = []
-    for ratio in ratios:
-        if kappa != 0.0:
-            period = 2.0 * math.pi / (ratio * abs(kappa))
-            scaled = ModulationProtocol.with_shape(
-                protocol.theta, protocol.x, protocol.gamma, period=period
-            )
-        else:
-            period = protocol.period
-            scaled = protocol
-        cycles = t_end / period
-        m_periods = round(cycles)
-        if m_periods < 1 or abs(cycles - m_periods) > 1e-9 * max(1.0, cycles):
-            raise ValidationError(
-                f"t_end = {t_end:.6g} is not an integer number of drive periods "
-                f"at ratio {ratio:g} (T = {period:.6g})"
-            )
+    for ratio, period, scaled, m_periods in plan:
         propagators = {}  # one per distinct branch: the first and third coincide
         for span, h, gradient in dict.fromkeys(scaled._schedule):
             forward = kappa * cmath.exp(-1j * gradient)
@@ -569,6 +582,13 @@ def _laser_lattice(params: LaserParams, window: tuple[int, int]) -> tuple[Lattic
     return lattice, bands
 
 
+def _laser_scale(params: LaserParams, lattice: LatticeSpec) -> float:
+    """The fastest rate of the laser on ``lattice``, the forced lattice it
+    emulates: the lattice's own, |gain - loss| and dg n^2 at the largest |n|."""
+    extent = float(max(abs(lattice.offset), abs(lattice.offset + lattice.dim - 1)))
+    return max(_dt_scale(lattice, None), abs(params.gain - params.loss), params.dg * extent**2)
+
+
 def laser_hamiltonian(params: LaserParams, window: tuple[int, int]) -> HamiltonianMatrix:
     """Dense laser generator over the mode window [n_min, n_max]."""
     lattice, bands = _laser_lattice(params, window)
@@ -589,8 +609,7 @@ def laser_evolve(params: LaserParams, c0: StateVector, cfg: EvolveConfig) -> Sta
     The limit is fixed: pass a wider initial window instead.
     """
     lattice, bands = _laser_lattice(params, (c0.offset, c0.offset + len(c0) - 1))
-    extent = float(np.abs(lattice.site_indices).max())
-    scale = max(_dt_scale(lattice, None), abs(params.gain - params.loss), params.dg * extent**2)
+    scale = _laser_scale(params, lattice)
 
     def edge_monitor(t: float, y: np.ndarray) -> None:
         total = float(np.sum(np.abs(y) ** 2))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _rk4_plan
+from .dynamics import _OVERFLOW_LIMIT, _dt_scale, _guard_overflow, _rk4_plan, _step_count
 from .errors import ComputationError, ValidationError
 from .lattice import Geometry, LatticeSpec, _require_finite_complex, _require_memory, _spec_bands
 
@@ -158,6 +158,21 @@ def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> 
     return product
 
 
+def _monodromy_refusals(spec: LatticeSpec, drive: FluxDrive, dt: float) -> None:
+    """The refusals of :func:`monodromy`: the physical-memory check of M comes
+    before the step rule of :func:`_bloch_products`."""
+    if spec.geometry is not Geometry.Ring:
+        raise ValidationError("monodromy requires Ring geometry")
+    if spec.dim != drive.sites:
+        raise ValidationError("drive.sites must match the ring size")
+    if spec.force != 0.0:
+        raise ValidationError("the ring flux supplies the force; set spec.force = 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive and finite")
+    _require_memory(16 * spec.dim**2, f"a dense {spec.dim} x {spec.dim} monodromy")
+    _step_count(drive.period, dt, _dt_scale(spec, drive.force), "the drive")
+
+
 def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyReport:
     """One-period propagator M of the flux-driven ring, from its Bloch modes.
 
@@ -169,15 +184,7 @@ def monodromy(spec: LatticeSpec, drive: FluxDrive, dt: float) -> QuasiEnergyRepo
     log(Lambda_l) / T_B on the principal branch, folded into (-|F|/2, |F|/2],
     in the q order of :func:`quasi_energies_analytic`.
     """
-    if spec.geometry is not Geometry.Ring:
-        raise ValidationError("monodromy requires Ring geometry")
-    if spec.dim != drive.sites:
-        raise ValidationError("drive.sites must match the ring size")
-    if spec.force != 0.0:
-        raise ValidationError("the ring flux supplies the force; set spec.force = 0")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be positive and finite")
-    _require_memory(16 * spec.dim**2, f"a dense {spec.dim} x {spec.dim} monodromy")
+    _monodromy_refusals(spec, drive, dt)
     products = _bloch_products(spec, drive.force, drive.period, dt)
     if np.any(np.abs(products) < 1e-300):
         raise ComputationError("monodromy is numerically singular")

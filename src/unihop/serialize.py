@@ -110,7 +110,6 @@ def report_to_dict(report: SpectrumReport, include_vectors: bool = False) -> dic
                 "multiplicity": c.multiplicity,
                 "jordan_blocks": list(c.jordan_blocks),
                 "ep_order": c.ep_order,
-                "perturbation_radius": c.perturbation_radius,
                 "rank_flagged": c.rank_flagged,
             }
             for c in report.clusters

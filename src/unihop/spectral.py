@@ -39,7 +39,6 @@ __all__ = [
     "wannier_stark_states",
 ]
 
-_EPS = float(np.finfo(float).eps)
 _DELTA = 1e-8  # the one relative scale of clustering and of every rank threshold
 
 
@@ -50,17 +49,12 @@ class SpectrumCluster:
     ``jordan_blocks`` lists the block sizes (descending); ``multiplicity`` is
     their sum and ``ep_order`` the largest block, i.e. the order of the
     exceptional point sitting at ``value`` (1 for a diagonalizable cluster).
-    ``perturbation_radius`` is the heuristic scatter radius
-    scale * eps^(1/ep_order) within which machine-precision perturbations
-    smear the degenerate eigenvalues; where it exceeds the clustering
-    distance of :func:`analyze_spectrum`, such an exceptional point comes
-    out split into several clusters.  ``rank_flagged`` marks rank decisions
-    where singular values fell within a factor 10 of the threshold.
+    ``rank_flagged`` marks rank decisions where singular values fell within
+    a factor 10 of the threshold.
     """
 
     value: complex
     jordan_blocks: tuple[int, ...]
-    perturbation_radius: float
     rank_flagged: bool = False
 
     @property
@@ -123,18 +117,6 @@ class WannierStarkState:
         return self.amplitudes.amplitude(n)
 
 
-def _cluster(
-    value: complex, blocks: tuple[int, ...], scale: float, flagged: bool = False
-) -> SpectrumCluster:
-    """A cluster whose radius is scale * eps^(1/ep_order), eps = machine epsilon."""
-    return SpectrumCluster(
-        value=complex(value),
-        jordan_blocks=blocks,
-        perturbation_radius=scale * _EPS ** (1.0 / max(blocks)),
-        rank_flagged=flagged,
-    )
-
-
 def _certify_eigenpairs(bands: dict, vectors: np.ndarray, values: np.ndarray) -> float:
     """||R||_F / unit for R = H V - V diag(E); above 1e-10 (or NaN) it is refused.
 
@@ -182,11 +164,10 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     vectors = phases[np.outer(n, n) % dim] / math.sqrt(dim)
     _certify_eigenpairs(_spec_bands(spec), vectors, eigenvalues)
 
-    scale = max(abs(spec.kappa1), _EPS)
     if spec.kappa1 == 0:
-        clusters = (_cluster(0j, (1,) * dim, scale),)
+        clusters = (SpectrumCluster(0j, (1,) * dim),)
     else:
-        clusters = tuple(_cluster(ev, (1,), scale) for ev in eigenvalues)
+        clusters = tuple(SpectrumCluster(complex(ev), (1,)) for ev in eigenvalues)
     return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
 
 
@@ -305,13 +286,13 @@ def _clusters(
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(eigenvalues / unit, _DELTA):
         if len(group) == 1:
-            clusters.append(_cluster(eigenvalues[group[0]], (1,), scale))
+            clusters.append(SpectrumCluster(complex(eigenvalues[group[0]]), (1,)))
             continue
         value = complex(eigenvalues[group].mean())
         shifted = entries / unit
         shifted[np.diag_indices_from(shifted)] -= value / unit
         blocks, flagged = _jordan_blocks(shifted, (eigenvalues[group] - value) / unit)
-        clusters.append(_cluster(value, blocks, scale, flagged))
+        clusters.append(SpectrumCluster(value, blocks, flagged))
     return tuple(clusters)
 
 
@@ -324,11 +305,11 @@ def analyze_spectrum(h: HamiltonianMatrix) -> SpectrumReport:
     A = (H - lambda I) / s taken at that same delta (see
     :func:`_jordan_blocks`), so the answer does not depend on the overall
     scale of H.  Near an exceptional point of order m, backward errors of
-    size eps scatter the eigenvalues over a disk of radius ~ eps^(1/m), the
-    reported ``perturbation_radius``; an EP whose scatter exceeds delta
-    (an order-2 EP not exact in the entries scatters by ~ sqrt(eps)) is
-    split into several clusters.  The truncated unidirectional chain is
-    exact in its entries, and its order-N EP forms one cluster.
+    size eps scatter the eigenvalues over a disk of radius ~ s eps^(1/m); an
+    EP whose scatter exceeds delta (an order-2 EP not exact in the entries
+    scatters by ~ sqrt(eps)) is split into several clusters.  The truncated
+    unidirectional chain is exact in its entries, and its order-N EP forms
+    one cluster.
 
     One pass clusters the eigenvalues of ``np.linalg.eigvals`` and finds
     each cluster's Jordan blocks, so a defective matrix costs no eigenvector

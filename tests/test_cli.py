@@ -338,11 +338,15 @@ class TestConfigHandling:
         [
             ["evolve", "--geometry", "infinite", "--window", "-12", "5", "--force", "-0.6",
              "--kappa1", "0.8-0.5i", "--initial", "gaussian", "--t-end", "2",
-             "--dt", "0.01", "--renormalize"],
+             "--dt", "0.004", "--renormalize"],
             ["rwa", "--theta", "1.5707963267948966", "--x", "0.8", "--gamma", "3+0.7i",
              "--ratios", "5,10"],
+            # a run to t_end = 0 takes no step, so no step rule refuses it
+            ["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "0"],
+            ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15",
+             "--n-max", "15", "--t-end", "0", "--dt", "3"],
         ],
-        ids=["evolve", "rwa"],
+        ids=["evolve", "rwa", "evolve-t-end-0", "laser-t-end-0"],
     )
     def test_dumped_config_reloads_to_the_same_bytes(self, capsys, tmp_path, argv):
         assert run(argv + ["--dump-config", "first.json"], capsys)[0] == 0
@@ -1221,6 +1225,47 @@ def test_dump_config_refuses_what_the_run_would_refuse(capsys, tmp_path, argv, m
     assert message in err
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+_CHAIN4 = ["--geometry", "chain", "--sites", "4"]
+_RWA = ["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i"]
+_LASER = ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15", "--n-max", "15"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["evolve", *_CHAIN4, "--t-end", "1", "--dt", "0.5"],
+         "dt = 0.5 does not resolve the fastest scale (need dt <= 0.05)"),
+        (["bloch", *_CHAIN4, "--force", "1", "--steps-per-period", "5"],
+         "dt = 1.26 does not resolve the fastest scale (need dt <= 0.0125)"),
+        (["floquet", "--sites", "6", "--steps-per-period", "5"],
+         "dt = 1.2 does not resolve the drive (need dt <= 0.0477)"),
+        ([*_LASER, "--t-end", "1", "--dt", "0.5"],
+         "dt = 0.5 does not resolve the laser scales (need dt <= 0.0707)"),
+        (["evolve", *_CHAIN4, "--t-end", "1e300", "--dt", "1e-300"],
+         "t_end / dt = 1e+300 / 1e-300 is too many steps to take"),
+        (["evolve", *_CHAIN4, "--t-end", "1", "--dt", "0.01", "--flux-rate", "1"],
+         "flux_rate is only defined for Ring geometry"),
+        (["evolve", *_CHAIN4, "--t-end", "1", "--method", "closed", "--kappa2", "1"],
+         "closed form requires kappa2 = 0; use evolve_rk4"),
+        (["evolve", "--geometry", "ring", "--sites", "4", "--t-end", "1", "--method", "closed",
+          "--force", "1"], "closed form on a ring requires F = 0; use evolve_rk4"),
+        ([*_RWA, "--t-end", "1.3"],
+         "t_end = 1.3 is not an integer number of drive periods at ratio 5 (T = 1.25664)"),
+        ([*_RWA, "--ratios=-1"], "omega ratios must be positive (fast drive means >= 5)"),
+        ([*_RWA, "--sites", "1"], "need an integer sites >= 2"),
+        (["bloch", *_CHAIN4, "--force", "1", "--periods", "0.5"], "periods must be >= 1, got 0.5"),
+    ],
+    ids=["evolve-dt", "bloch-dt", "floquet-dt", "laser-dt", "evolve-steps", "evolve-flux-rate",
+         "closed-kappa2", "closed-ring-force", "rwa-t-end", "rwa-ratios", "rwa-sites",
+         "bloch-periods"],
+)
+def test_run_time_refusals_come_before_any_file(capsys, tmp_path, argv, line):
+    # the run and --dump-config refuse alike, so no dumped config is refused on rerun
+    for extra in ([], ["--dump-config", "d.json"]):
+        assert run(argv + extra, capsys) == (2, "", f"validation error: {line}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 _HUGE = "100000000000000000000"

@@ -115,6 +115,7 @@ class TestJson:
         assert d["eigenvectors"] is None
         assert len(d["eigenvalues"]) == 3
         (cluster,) = d["clusters"]
+        assert set(cluster) == {"value", "multiplicity", "jordan_blocks", "ep_order", "rank_flagged"}
         assert cluster["jordan_blocks"] == [3]
         assert cluster["ep_order"] == 3
         json.dumps(d)  # must be JSON-clean

@@ -357,16 +357,13 @@ class TestAnalyzeSpectrum:
 
     def test_ep_perturbation_scaling(self):
         # a corner defect of size delta splits the EP into a ring of radius
-        # ~ delta^(1/sites); the reported radius formula has the same root law
+        # ~ delta^(1/sites)
         sites, delta = 6, 1e-9
         entries = build_hamiltonian(chain(sites)).entries.copy()
         entries[sites - 1, 0] = delta
         split = np.max(np.abs(np.linalg.eigvals(entries)))
         expected = delta ** (1.0 / sites)
         assert 0.5 * expected < split < 2.0 * expected
-        radius = analyze_spectrum(build_hamiltonian(chain(sites))).clusters[0].perturbation_radius
-        eps = np.finfo(float).eps
-        assert radius == pytest.approx(eps ** (1.0 / sites), rel=1e-12)
 
     def test_clustering_is_transitive(self):
         # the ends are 1.2e-8 apart, beyond delta = 1e-8, but each is within
@@ -394,7 +391,7 @@ class TestAnalyzeSpectrum:
         assert [c.jordan_blocks for c in report.clusters] == want
 
     def test_cluster_derives_multiplicity_and_ep_order(self):
-        c = SpectrumCluster(value=0j, jordan_blocks=(3, 1), perturbation_radius=0.0)
+        c = SpectrumCluster(value=0j, jordan_blocks=(3, 1))
         assert c.multiplicity == 4
         assert c.ep_order == 3
 
@@ -519,8 +516,7 @@ class TestJordanShortcut:
             return fired[-1]
 
         def summary(report):
-            clusters = [(c.value, c.jordan_blocks, c.perturbation_radius, c.rank_flagged)
-                        for c in report.clusters]
+            clusters = [(c.value, c.jordan_blocks, c.rank_flagged) for c in report.clusters]
             return report.eigenvalues.tobytes(), clusters
 
         reports = []
