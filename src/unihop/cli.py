@@ -268,21 +268,18 @@ def _check_lattice(resolved: dict) -> tuple:
 
 
 def _run_spectrum(resolved: dict, spec: LatticeSpec) -> None:
-    h = build_hamiltonian(spec)
-    report = analyze_spectrum(h)
-    ring_check = None
-    if spec.geometry is Geometry.Ring and spec.force == 0.0 and spec.kappa2 == 0j:
-        ring_spectrum(spec)  # raises when the closed form fails its certificate
-        ring_check = "ok"
+    # the F = 0 ring is circulant, so normal: its certified closed form answers
+    ring = spec.geometry is Geometry.Ring and spec.force == 0.0
+    report = ring_spectrum(spec) if ring else analyze_spectrum(build_hamiltonian(spec))
     out = report_to_dict(report, include_vectors=resolved["vectors"])
     out["geometry"] = resolved["geometry"]
-    out["dim"] = h.dim
-    out["offset"] = h.offset
-    out["ring_check"] = ring_check
+    out["dim"] = spec.dim
+    out["offset"] = spec.offset
+    out["ring_check"] = "ok" if ring else None
     dump_json(out, resolved["output"])
     max_order = max(c.ep_order for c in report.clusters)
     print(
-        f"spectrum: dim={h.dim} clusters={len(report.clusters)} "
+        f"spectrum: dim={spec.dim} clusters={len(report.clusters)} "
         f"max_ep_order={max_order} defective={report.is_defective} "
         f"output={resolved['output']}"
     )

@@ -10,8 +10,9 @@ the gauge c_n = e^{-iFnt} a_n leaves the hopping kappa1 e^{-iFt}, whose values
 commute, so the first Magnus term is exact.  Amplitude injected at site l
 spreads only toward decreasing n, and Phi(T_B) = 0 revives it exactly.  On a
 ring (F = 0 only: a Stark term is not circulant) the kernel is the discrete
-Bloch sum U_{n,l}(t) = (N+1)^{-1} sum_k exp[i q_k (n-l) - i E(q_k) t] with
-E(q) = kappa1 e^{iq}, evaluated here by FFT.
+Bloch sum U_{n,l}(t) = (N+1)^{-1} sum_k exp[i q_k (n-l) - i E(q_k) t] with the
+circulant symbol E(q) = kappa1 e^{iq} + kappa2 e^{-iq}, evaluated here by
+FFT, so the F = 0 ring takes any kappa2.
 
 The RK4 path integrates dc/dt = -i H(t) c with a uniform step chosen to land
 exactly on t_end (and hence exactly on Bloch-period multiples when dt divides
@@ -42,6 +43,7 @@ from .lattice import (
     _band_product,
     _check_state,
     _require_memory,
+    _ring_symbol,
     _spec_bands,
 )
 
@@ -245,7 +247,7 @@ def _observables(
 
 def _closed_form_refusals(spec: LatticeSpec, c0: StateVector) -> None:
     """The refusals of :func:`evolve_closed_form` that need no sample times."""
-    if spec.kappa2 != 0j:
+    if spec.kappa2 != 0j and spec.geometry is not Geometry.Ring:
         raise ValidationError("closed form requires kappa2 = 0; use evolve_rk4")
     if spec.force != 0.0 and spec.geometry is Geometry.Ring:
         raise ValidationError("closed form on a ring requires F = 0; use evolve_rk4")
@@ -255,7 +257,7 @@ def _closed_form_refusals(spec: LatticeSpec, c0: StateVector) -> None:
 
 
 def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajectory:
-    """Exact evolution of the unidirectional lattice (kappa2 = 0).
+    """Exact evolution of the unidirectional chain (kappa2 = 0) and the free ring.
 
     Chains and windows take any force F.  They apply the triangular factorial
     kernel at z = -i kappa1 Phi(t) as a convolution over the initial support
@@ -263,9 +265,9 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
     truncates the flow; sites above the initial support stay exactly zero),
     then the gauge e^{-iFnt} on absolute sites n.  Phi is evaluated as
     (2/F) sin(Ft/2) e^{-iFt/2}, accurate as F -> 0, and is exactly t at F = 0.
-    The ring (F = 0 only) applies the discrete Bloch kernel via FFT.  As for
-    RK4, growth beyond max|c| > 1e150 at any requested time aborts with
-    :class:`OverflowAbort`.
+    The ring (F = 0 only, any kappa2) applies the Bloch kernel of its symbol
+    via FFT.  As for RK4, growth beyond max|c| > 1e150 at any requested time
+    aborts with :class:`OverflowAbort`.
     """
     _closed_form_refusals(spec, c0)
     force = spec.force
@@ -279,8 +281,7 @@ def evolve_closed_form(spec: LatticeSpec, c0: StateVector, times) -> StateTrajec
     out = np.zeros((t_arr.size, dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow guard decides
         if spec.geometry is Geometry.Ring:
-            q = 2.0 * np.pi * np.arange(dim) / dim
-            energies = spec.kappa1 * np.exp(1j * q)
+            _, energies = _ring_symbol(spec)
             spectrum = np.fft.fft(c0.amps)
             for i, t in enumerate(t_arr):
                 out[i] = np.fft.ifft(spectrum * np.exp(-1j * energies * t))

@@ -293,6 +293,15 @@ def _spec_bands(spec: LatticeSpec) -> dict[int, np.ndarray]:
     return _bands(spec.dim, spec.kappa1, spec.kappa2, diag=_stark_diagonal(spec), wrap=ring)
 
 
+def _ring_symbol(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{iq}, E) at q_l = 2 pi l / (N+1): the F = 0 ring's plane-wave phases and
+    its circulant symbol E = kappa1 e^{iq} + kappa2 e^{-iq}; callers check finiteness."""
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(spec.dim) / spec.dim))
+    if spec.kappa2 == 0j:  # a one-way ring's E keeps the bits of the product
+        return phases, spec.kappa1 * phases
+    return phases, spec.kappa1 * phases + spec.kappa2 * phases.conj()
+
+
 try:  # physical memory, the bound of _require_memory; no limit without sysconf
     _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):

@@ -10,7 +10,8 @@ ladder E_l = l F with explicitly known one-sided eigenvectors
 
 This module computes those objects and, for arbitrary dense matrices, detects
 degenerate clusters and recovers their Jordan block sizes from the rank
-sequence of (H - lambda I)^k.
+sequence of (H - lambda I)^k.  The free (F = 0) ring, circulant and so
+normal at any kappa2, takes its certified plane-wave closed form instead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .lattice import (
     HamiltonianMatrix,
     LatticeSpec,
     StateVector,
+    _require_memory,
+    _ring_symbol,
     _spec_bands,
 )
 
@@ -142,32 +145,26 @@ def _certify_eigenpairs(bands: dict, vectors: np.ndarray, values: np.ndarray) ->
 
 
 def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
-    """Closed-form spectrum of the free ring: E_k = kappa1 e^{i q_k}.
+    """Closed-form spectrum of the F = 0 ring: E_l = kappa1 e^{iq_l} + kappa2 e^{-iq_l}.
 
-    The Bloch wave numbers are quantized as q_k = 2 pi k / (N+1), giving N+1
-    distinct complex energies on the circle |E| = |kappa1| (all coalescing at
-    0 when kappa1 = 0, but with a complete plane-wave eigenbasis either way).
-    The columns e^{i q_k n} / sqrt(N+1) read e^{i q_j} at j = n k mod (N+1), a
-    residual ~ sqrt(N), not N^1.5; :func:`_certify_eigenpairs` makes E, in
-    O(N^2), the exact spectrum of a matrix within 1e-10 max(1, |kappa1|) of H.
+    The ring is circulant, so normal (Hatano and Nelson's asymmetric ring):
+    the columns e^{iq_l n} / sqrt(N+1) are a unitary eigenbasis and every
+    block has size 1.  They read e^{iq_j} at j = n l mod (N+1), a residual
+    ~ sqrt(N), not N^1.5; :func:`_certify_eigenpairs` makes E, in O(N^2), the
+    exact spectrum of a matrix within 1e-10 max(1, s) of H, s = max(|kappa1|,
+    |kappa2|).  Clusters are formed at s as in :func:`analyze_spectrum`.
     """
     if spec.geometry is not Geometry.Ring:
         raise ValidationError("ring_spectrum requires Ring geometry")
     if spec.force != 0.0:
         raise ValidationError("ring_spectrum is defined for F = 0 only")
-    if spec.kappa2 != 0j:
-        raise ValidationError("ring_spectrum covers the unidirectional ring (kappa2 = 0)")
     dim = spec.dim
+    _require_memory(16 * dim**2, f"a {dim} x {dim} plane-wave basis")
+    phases, eigenvalues = _checked("ring eigenvalue product", _ring_symbol, spec)
     n = np.arange(dim)
-    phases = np.exp(1j * (2.0 * np.pi * n / dim))  # e^{i q_k}
-    eigenvalues = _checked("ring eigenvalue product", np.multiply, spec.kappa1, phases)
     vectors = phases[np.outer(n, n) % dim] / math.sqrt(dim)
     _certify_eigenpairs(_spec_bands(spec), vectors, eigenvalues)
-
-    if spec.kappa1 == 0:
-        clusters = (SpectrumCluster(0j, (1,) * dim),)
-    else:
-        clusters = tuple(SpectrumCluster(complex(ev), (1,)) for ev in eigenvalues)
+    clusters = _clusters(None, eigenvalues, max(abs(spec.kappa1), abs(spec.kappa2)))
     return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
 
 
@@ -279,19 +276,24 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _clusters(
-    entries: np.ndarray, eigenvalues: np.ndarray, scale: float
+    entries: np.ndarray | None, eigenvalues: np.ndarray, scale: float
 ) -> tuple[SpectrumCluster, ...]:
-    """The clusters of ``eigenvalues`` with each one's Jordan blocks."""
+    """The clusters of ``eigenvalues`` with each one's Jordan blocks; ``entries``
+    None stands for a normal matrix, whose blocks all have size 1."""
     unit = scale or 1.0  # dividing by s first keeps every quantity representable
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(eigenvalues / unit, _DELTA):
         if len(group) == 1:
             clusters.append(SpectrumCluster(complex(eigenvalues[group[0]]), (1,)))
             continue
-        value = complex(eigenvalues[group].mean())
-        shifted = entries / unit
-        shifted[np.diag_indices_from(shifted)] -= value / unit
-        blocks, flagged = _jordan_blocks(shifted, (eigenvalues[group] - value) / unit)
+        # the mean in units of s, by real division, which keeps every bit at s = 1
+        mean = (eigenvalues[group].view(float) / unit).view(complex).mean()
+        value = complex(mean.real * unit, mean.imag * unit)
+        blocks, flagged = (1,) * len(group), False  # the blocks of a normal matrix
+        if entries is not None:
+            shifted = entries / unit
+            shifted[np.diag_indices_from(shifted)] -= value / unit
+            blocks, flagged = _jordan_blocks(shifted, (eigenvalues[group] - value) / unit)
         clusters.append(SpectrumCluster(value, blocks, flagged))
     return tuple(clusters)
 

@@ -87,6 +87,31 @@ class TestSpectrumCommand:
         for re_part, im_part in data["eigenvalues"]:
             assert abs(complex(re_part, im_part)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "hopping",
+        [[], ["--kappa1", "0.8-0.6i", "--kappa2", "0.8-0.6i"], ["--kappa1", "0", "--kappa2", "0"]],
+        ids=["one-way", "two-way-equal", "zero"],
+    )
+    def test_free_ring_takes_the_closed_form_alone(self, capsys, tmp_path, monkeypatch, hopping):
+        # the F = 0 ring forms no dense H and calls no eigensolver; a chain
+        # and a forced ring still take the dense engine and write null
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum called an eigensolver or built a dense H")
+
+        with monkeypatch.context() as patch:
+            for name in ("eig", "eigvals"):
+                patch.setattr(np.linalg, name, refuse)
+            patch.setattr(lattice, "_dense", refuse)
+            argv = ["spectrum", "--geometry", "ring", "--sites", "16", *hopping]
+            assert run(argv, capsys)[::2] == (0, "")
+        data = json.loads((tmp_path / "spectrum.json").read_text())
+        assert data["ring_check"] == "ok"
+        assert data["is_defective"] is False
+        assert sum(c["multiplicity"] for c in data["clusters"]) == 16
+        for argv in (["--geometry", "chain"], ["--geometry", "ring", "--force", "0.5"]):
+            assert run(["spectrum", "--sites", "16", *argv, *hopping], capsys)[0] == 0
+            assert json.loads((tmp_path / "spectrum.json").read_text())["ring_check"] is None
+
     def test_vectors_flag(self, capsys, tmp_path):
         code, _, _ = run(
             [
@@ -949,7 +974,7 @@ def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
 def test_matrix_larger_than_physical_memory_maps_to_exit_3(monkeypatch, capsys, tmp_path, command):
     # a pretend 1 KiB machine, so that nothing large is allocated for real
     monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 1024)
-    code, out, err = run([command, "--geometry", "ring", "--sites", "64"], capsys)
+    code, out, err = run([command, "--geometry", "ring", "--sites", "64", "--force", "0.5"], capsys)
     assert code == 3
     assert out == ""
     assert err == (
@@ -968,7 +993,7 @@ def _assert_exit_3(code, err, what):
 
 def test_ring_eigensolve_failure_maps_to_exit_3(monkeypatch, capsys):
     # a NaN, or a corner bond moved by 1e-6, in the bands that the ring
-    # certificate reads (analyze_spectrum builds its own H and is untouched)
+    # certificate reads
     spec_bands = spectral._spec_bands
     for index, entry in ((0, np.nan), (-1, 1.0 + 1e-6)):
 
@@ -1004,6 +1029,19 @@ def test_near_overflow_ring_spectrum_prints_no_warning(capsys, tmp_path, sites, 
     data = json.loads((tmp_path / "spectrum.json").read_text())
     assert data["ring_check"] == "ok"
     assert len(data["clusters"]) == int(sites)
+
+
+def test_degenerate_clusters_near_the_float_maximum(capsys, tmp_path):
+    # the dense route averages each cluster in units of s, so no sum of two
+    # values near 1.6e308 overflows; warnings are errors here
+    argv = ["spectrum", "--geometry", "ring", "--sites", "8", "--kappa1", "8e307",
+            "--kappa2", "8e307", "--force", "1e-300"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "clusters=5 max_ep_order=1 defective=False" in out
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert len(data["clusters"]) == 5
+    assert data["is_defective"] is False
 
 
 @pytest.mark.parametrize(
@@ -1255,11 +1293,13 @@ _LASER = ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15", "
          "t_end = 1.3 is not an integer number of drive periods at ratio 5 (T = 1.25664)"),
         ([*_RWA, "--ratios=-1"], "omega ratios must be positive (fast drive means >= 5)"),
         ([*_RWA, "--sites", "1"], "need an integer sites >= 2"),
+        ([*_RWA, "--kappa", "1e-200", "--ratios", "1e-200"],
+         "drive rate ratio * |kappa| = 1e-200 * 1e-200 underflows to 0"),
         (["bloch", *_CHAIN4, "--force", "1", "--periods", "0.5"], "periods must be >= 1, got 0.5"),
     ],
     ids=["evolve-dt", "bloch-dt", "floquet-dt", "laser-dt", "evolve-steps", "evolve-flux-rate",
          "closed-kappa2", "closed-ring-force", "rwa-t-end", "rwa-ratios", "rwa-sites",
-         "bloch-periods"],
+         "rwa-rate-underflow", "bloch-periods"],
 )
 def test_run_time_refusals_come_before_any_file(capsys, tmp_path, argv, line):
     # the run and --dump-config refuse alike, so no dumped config is refused on rerun
@@ -1280,8 +1320,9 @@ _HUGE = "100000000000000000000"
          "--t-end", "1", "--dt", "0.01"],
         ["floquet", "--sites", _HUGE],
         ["rwa", "--theta", "1.5", "--x", "0.8", "--gamma", "3+0.7i", "--sites", _HUGE],
+        ["spectrum", "--geometry", "ring", "--sites", _HUGE],
     ],
-    ids=["evolve", "bloch", "laser", "floquet", "rwa"],
+    ids=["evolve", "bloch", "laser", "floquet", "rwa", "spectrum-ring"],
 )
 def test_site_count_beyond_physical_memory_maps_to_exit_3(capsys, tmp_path, argv):
     # numpy refuses this shape before it allocates, so a failing run allocates nothing

@@ -165,6 +165,18 @@ class TestClosedForm:
         want = expm(-1j * h * t) @ np.asarray(c0.amps)
         assert np.max(np.abs(traj.amps[0] - want)) <= 1e-12
 
+    def test_two_way_ring_matches_rk4_and_matrix_exponential(self):
+        # the F = 0 ring's closed form takes kappa2 through the circulant symbol
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=0.8 - 0.6j, kappa2=0.3 + 0.2j, sites=9)
+        c0 = gaussian_state(spec, 4.0, 2.0)
+        traj = evolve_rk4(spec, c0, EvolveConfig(t_end=3.0, dt=0.01, record_every=50))
+        exact = evolve_closed_form(spec, c0, traj.times)
+        assert np.max(np.abs(traj.amps - exact.amps)) <= 1e-8
+        h = build_hamiltonian(spec).entries
+        for t, row in zip(exact.times, exact.amps):
+            want = expm(-1j * h * t) @ np.asarray(c0.amps)
+            assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_causality_on_infinite_window(self):
         spec = LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=1.0, window=(-3, 5))
         traj = evolve_closed_form(spec, single_site_state(spec, 0), [0.5, 1.0, 4.0])

@@ -129,16 +129,23 @@ class TestRingSpectrum:
         sites=st.integers(2, 96),
         log_modulus=st.one_of(st.none(), st.floats(-300.0, 300.0)),
         phase=st.floats(-math.pi, math.pi),
+        log_modulus2=st.one_of(st.none(), st.floats(-300.0, 300.0)),
+        phase2=st.floats(-math.pi, math.pi),
     )
-    @example(sites=2, log_modulus=None, phase=0.0)
-    @example(sites=96, log_modulus=-300.0, phase=1.0)
-    @example(sites=96, log_modulus=300.0, phase=-2.0)
-    def test_certified_pairs_match_a_dense_eigensolve(self, sites, log_modulus, phase):
-        # log_modulus None is kappa1 = 0; warnings are errors throughout
+    @example(sites=2, log_modulus=None, phase=0.0, log_modulus2=None, phase2=0.0)
+    @example(sites=96, log_modulus=-300.0, phase=1.0, log_modulus2=None, phase2=0.0)
+    @example(sites=96, log_modulus=300.0, phase=-2.0, log_modulus2=None, phase2=0.0)
+    @example(sites=32, log_modulus=0.0, phase=0.5, log_modulus2=0.0, phase2=0.5)
+    @example(sites=31, log_modulus=None, phase=0.0, log_modulus2=None, phase2=0.0)
+    def test_certified_pairs_match_a_dense_eigensolve(
+        self, sites, log_modulus, phase, log_modulus2, phase2
+    ):
+        # a log modulus of None is a hopping of 0; warnings are errors throughout
         kappa1 = 0j if log_modulus is None else cmath.rect(10.0**log_modulus, phase)
-        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, sites=sites)
+        kappa2 = 0j if log_modulus2 is None else cmath.rect(10.0**log_modulus2, phase2)
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=kappa1, kappa2=kappa2, sites=sites)
         report = ring_spectrum(spec)
-        unit = max(1.0, abs(kappa1))
+        unit = max(1.0, abs(kappa1), abs(kappa2))
         h = build_hamiltonian(spec).entries / unit
         values = report.eigenvalues / unit
         distance = np.abs(np.linalg.eigvals(h)[:, None] - values[None, :])
@@ -146,6 +153,19 @@ class TestRingSpectrum:
         assert distance[rows, cols].max() <= 1e-10
         vectors = report.eigenvectors
         assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12
+        assert not report.is_defective
+        if 3 <= sites <= 32:
+            # the dense engine's clusters, paired by value; on two sites both
+            # bonds are one entry kappa1 + kappa2, so its scale is another
+            dense = analyze_spectrum(build_hamiltonian(spec)).clusters
+            ours = np.array([c.value for c in report.clusters]) / unit
+            theirs = np.array([c.value for c in dense]) / unit
+            assert ours.size == theirs.size
+            rows, cols = linear_sum_assignment(np.abs(ours[:, None] - theirs[None, :]))
+            assert [report.clusters[i].multiplicity for i in rows] == [
+                dense[j].multiplicity for j in cols
+            ]
+            assert all(c.ep_order == 1 for c in dense)
 
     def test_reduced_phases_keep_a_2048_site_residual_small(self):
         # exp(1j * outer(n, q)) would leave ||R||_F / unit near 1.3e-11 here
@@ -182,8 +202,6 @@ class TestRingSpectrum:
             ring_spectrum(chain(4))
         with pytest.raises(ValidationError):
             ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=4, force=0.5))
-        with pytest.raises(ValidationError):
-            ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, kappa2=0.5, sites=4))
 
 
 def _clusters_by_connected_components(eigenvalues, tol):
@@ -241,10 +259,11 @@ class TestAnalyzeSpectrum:
         assert len(report.clusters) == 1
         assert report.clusters[0].ep_order == sites
 
-    @pytest.mark.parametrize("kappa1", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("kappa1", [1e-6, 1e-3, 1e3, 1e6, 1e308])
     def test_jordan_structure_is_scale_invariant(self, kappa1):
         # H -> s H keeps the Jordan structure: the 120-site chain is one block
-        # of size 120, and J_3(0) + J_2(0) + J_1(1) keeps its blocks at every s
+        # of size 120, J_3(0) + J_2(0) + J_1(1) keeps its blocks at every s, and
+        # s I_3 is one cluster at s whose mean no sum overflows, even at 1e308
         report = analyze_spectrum(build_hamiltonian(chain(120, kappa1=kappa1)))
         assert [c.jordan_blocks for c in report.clusters] == [(120,)]
         entries = np.zeros((6, 6), dtype=complex)
@@ -252,6 +271,8 @@ class TestAnalyzeSpectrum:
         entries[5, 5] = 1.0
         report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * entries))
         assert [c.jordan_blocks for c in report.clusters] == [(3, 2), (1,)]
+        report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * np.eye(3)))
+        assert [(c.value, c.jordan_blocks) for c in report.clusters] == [(kappa1, (1, 1, 1))]
 
     def test_forced_chain_is_simple(self):
         report = analyze_spectrum(build_hamiltonian(chain(4, force=0.7)))
