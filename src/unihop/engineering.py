@@ -424,10 +424,8 @@ def _rwa_plan(
     plan = []
     for ratio in ratios:
         if kappa != 0.0:
-            if ratio * abs(kappa) == 0.0:
-                raise ValidationError(
-                    f"drive rate ratio * |kappa| = {ratio:g} * {abs(kappa):g} underflows to 0"
-                )
+            if ratio * abs(kappa) == 0.0:  # a positive finite ratio: only by underflow
+                raise ValidationError(f"drive rate ratio * |kappa| = {ratio:g} * {abs(kappa):g} underflows to 0")
             period = 2.0 * math.pi / (ratio * abs(kappa))
             scaled = ModulationProtocol.with_shape(
                 protocol.theta, protocol.x, protocol.gamma, period=period

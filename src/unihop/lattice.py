@@ -297,8 +297,8 @@ def _ring_symbol(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """(e^{iq}, E) at q_l = 2 pi l / (N+1): the F = 0 ring's plane-wave phases and
     its circulant symbol E = kappa1 e^{iq} + kappa2 e^{-iq}; callers check finiteness."""
     phases = np.exp(1j * (2.0 * np.pi * np.arange(spec.dim) / spec.dim))
-    if spec.kappa2 == 0j:  # a one-way ring's E keeps the bits of the product
-        return phases, spec.kappa1 * phases
+    if spec.dim == 2:  # both bonds are one entry, H = (kappa1 + kappa2) sigma_x: exact +-1
+        phases = np.array([1.0, -1.0], dtype=complex)
     return phases, spec.kappa1 * phases + spec.kappa2 * phases.conj()
 
 

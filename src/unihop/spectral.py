@@ -152,20 +152,21 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     block has size 1.  They read e^{iq_j} at j = n l mod (N+1), a residual
     ~ sqrt(N), not N^1.5; :func:`_certify_eigenpairs` makes E, in O(N^2), the
     exact spectrum of a matrix within 1e-10 max(1, s) of H, s = max(|kappa1|,
-    |kappa2|).  Clusters are formed at s as in :func:`analyze_spectrum`.
+    |kappa2|).  Clusters are formed, as in :func:`analyze_spectrum`, at the largest
+    entry of H: s, or |kappa1 + kappa2| on two sites, where both bonds are one entry.
     """
     if spec.geometry is not Geometry.Ring:
         raise ValidationError("ring_spectrum requires Ring geometry")
     if spec.force != 0.0:
         raise ValidationError("ring_spectrum is defined for F = 0 only")
     dim = spec.dim
-    _require_memory(16 * dim**2, f"a {dim} x {dim} plane-wave basis")
+    _require_memory(64 * dim**2, f"a {dim} x {dim} plane-wave basis and its certificate")
     phases, eigenvalues = _checked("ring eigenvalue product", _ring_symbol, spec)
     n = np.arange(dim)
     vectors = phases[np.outer(n, n) % dim] / math.sqrt(dim)
     _certify_eigenpairs(_spec_bands(spec), vectors, eigenvalues)
-    clusters = _clusters(None, eigenvalues, max(abs(spec.kappa1), abs(spec.kappa2)))
-    return SpectrumReport(eigenvalues=eigenvalues, eigenvectors=vectors, clusters=clusters)
+    scale = max(abs(spec.kappa1), abs(spec.kappa2)) if dim > 2 else abs(spec.kappa1 + spec.kappa2)
+    return SpectrumReport(eigenvalues, vectors, _clusters(None, eigenvalues, scale))
 
 
 def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
@@ -275,6 +276,11 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: (eigenvalues[g[0]].real, eigenvalues[g[0]].imag))
 
 
+def _in_units(z: np.ndarray, unit: float) -> np.ndarray:
+    """z / unit part by part; numpy's complex division takes 1 / unit, which a subnormal overflows."""
+    return (np.ascontiguousarray(z).view(float) / unit).view(complex)
+
+
 def _clusters(
     entries: np.ndarray | None, eigenvalues: np.ndarray, scale: float
 ) -> tuple[SpectrumCluster, ...]:
@@ -282,18 +288,17 @@ def _clusters(
     None stands for a normal matrix, whose blocks all have size 1."""
     unit = scale or 1.0  # dividing by s first keeps every quantity representable
     clusters: list[SpectrumCluster] = []
-    for group in _cluster_indices(eigenvalues / unit, _DELTA):
+    for group in _cluster_indices(_in_units(eigenvalues, unit), _DELTA):
         if len(group) == 1:
             clusters.append(SpectrumCluster(complex(eigenvalues[group[0]]), (1,)))
             continue
-        # the mean in units of s, by real division, which keeps every bit at s = 1
-        mean = (eigenvalues[group].view(float) / unit).view(complex).mean()
+        mean = _in_units(eigenvalues[group], unit).mean()
         value = complex(mean.real * unit, mean.imag * unit)
         blocks, flagged = (1,) * len(group), False  # the blocks of a normal matrix
         if entries is not None:
-            shifted = entries / unit
+            shifted = _in_units(entries, unit)
             shifted[np.diag_indices_from(shifted)] -= value / unit
-            blocks, flagged = _jordan_blocks(shifted, (eigenvalues[group] - value) / unit)
+            blocks, flagged = _jordan_blocks(shifted, _in_units(eigenvalues[group] - value, unit))
         clusters.append(SpectrumCluster(value, blocks, flagged))
     return tuple(clusters)
 

@@ -1044,6 +1044,16 @@ def test_degenerate_clusters_near_the_float_maximum(capsys, tmp_path):
     assert data["is_defective"] is False
 
 
+def test_subnormal_scale_keeps_the_chain_one_jordan_block(capsys, tmp_path):
+    # s = 1e-310 is divided out part by part; its reciprocal would overflow
+    code, out, err = run(["spectrum", "--geometry", "chain", "--sites", "6", "--kappa1", "1e-310"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert "clusters=1 max_ep_order=6 defective=True" in out
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert [c["jordan_blocks"] for c in data["clusters"]] == [[6]]
+
+
 @pytest.mark.parametrize(
     "fill, what",
     [(np.nan, "amplitude overflow"), (0.0, "monodromy is numerically singular")],

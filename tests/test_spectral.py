@@ -137,6 +137,8 @@ class TestRingSpectrum:
     @example(sites=96, log_modulus=300.0, phase=-2.0, log_modulus2=None, phase2=0.0)
     @example(sites=32, log_modulus=0.0, phase=0.5, log_modulus2=0.0, phase2=0.5)
     @example(sites=31, log_modulus=None, phase=0.0, log_modulus2=None, phase2=0.0)
+    @example(sites=2, log_modulus=300.0, phase=0.0, log_modulus2=300.0, phase2=math.pi)
+    @example(sites=4, log_modulus=-320.0, phase=0.5, log_modulus2=None, phase2=0.0)
     def test_certified_pairs_match_a_dense_eigensolve(
         self, sites, log_modulus, phase, log_modulus2, phase2
     ):
@@ -154,9 +156,8 @@ class TestRingSpectrum:
         vectors = report.eigenvectors
         assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12
         assert not report.is_defective
-        if 3 <= sites <= 32:
-            # the dense engine's clusters, paired by value; on two sites both
-            # bonds are one entry kappa1 + kappa2, so its scale is another
+        if sites <= 32:
+            # the dense engine's clusters, paired by value
             dense = analyze_spectrum(build_hamiltonian(spec)).clusters
             ours = np.array([c.value for c in report.clusters]) / unit
             theirs = np.array([c.value for c in dense]) / unit
@@ -166,6 +167,15 @@ class TestRingSpectrum:
                 dense[j].multiplicity for j in cols
             ]
             assert all(c.ep_order == 1 for c in dense)
+
+    def test_two_sites_answer_their_one_entry_exactly(self):
+        # both bonds are the entry kappa1 + kappa2 = 0: H is the zero matrix
+        spec = LatticeSpec(geometry=Geometry.Ring, kappa1=1e300, kappa2=-1e300, sites=2)
+        report = ring_spectrum(spec)
+        assert report.eigenvalues.tolist() == [0j, 0j]
+        assert [c.multiplicity for c in report.clusters] == [2]
+        report = ring_spectrum(LatticeSpec(geometry=Geometry.Ring, kappa1=3.0, kappa2=-1j, sites=2))
+        assert report.eigenvalues.tolist() == [3.0 - 1j, -3.0 + 1j]
 
     def test_reduced_phases_keep_a_2048_site_residual_small(self):
         # exp(1j * outer(n, q)) would leave ||R||_F / unit near 1.3e-11 here
@@ -259,11 +269,12 @@ class TestAnalyzeSpectrum:
         assert len(report.clusters) == 1
         assert report.clusters[0].ep_order == sites
 
-    @pytest.mark.parametrize("kappa1", [1e-6, 1e-3, 1e3, 1e6, 1e308])
+    @pytest.mark.parametrize("kappa1", [1e-310, 1e-6, 1e-3, 1e3, 1e6, 1e308])
     def test_jordan_structure_is_scale_invariant(self, kappa1):
         # H -> s H keeps the Jordan structure: the 120-site chain is one block
         # of size 120, J_3(0) + J_2(0) + J_1(1) keeps its blocks at every s, and
-        # s I_3 is one cluster at s whose mean no sum overflows, even at 1e308
+        # s I_3 is one cluster at s whose mean no sum overflows, even at 1e308;
+        # a subnormal s divides without its reciprocal, which would overflow
         report = analyze_spectrum(build_hamiltonian(chain(120, kappa1=kappa1)))
         assert [c.jordan_blocks for c in report.clusters] == [(120,)]
         entries = np.zeros((6, 6), dtype=complex)
