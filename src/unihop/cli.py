@@ -533,9 +533,9 @@ _RWA_FIELDS = (
 def _check_rwa(resolved: dict) -> tuple:
     kappa = resolved["kappa"]
     if resolved["t_end"] is None:
-        resolved["t_end"] = (
-            2.0 * math.pi / abs(kappa) if kappa != 0.0 else resolved["period"]
-        )
+        resolved["t_end"] = 2.0 * math.pi / abs(kappa) if kappa != 0.0 else resolved["period"]
+        if math.isinf(resolved["t_end"]):
+            raise ValidationError(f"the default t_end = 2 pi / |kappa| overflows at kappa = {kappa:g}; give --t-end")
     if resolved["site"] is None:
         resolved["site"] = resolved["sites"] // 2
     sites, site = resolved["sites"], resolved["site"]

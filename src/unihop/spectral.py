@@ -1,4 +1,4 @@
-"""Dispersion, point spectra, Jordan structure, and Wannier-Stark ladders.
+"""Point spectra, Jordan structure, and Wannier-Stark ladders.
 
 For the unidirectional chain (kappa2 = 0) truncation makes the free
 Hamiltonian a single nilpotent Jordan block: E = 0 is an exceptional point
@@ -8,15 +8,17 @@ ladder E_l = l F with explicitly known one-sided eigenvectors
 
     a_n = (kappa1/F)^{l-n} / (l-n)!   for n <= l,   a_n = 0 for n > l.
 
-This module computes those objects and, for arbitrary dense matrices, detects
-degenerate clusters and recovers their Jordan block sizes from the rank
-sequence of (H - lambda I)^k.  The free (F = 0) ring, circulant and so
-normal at any kappa2, takes its certified plane-wave closed form instead.
+This module computes those objects and, for dense matrices, clusters the
+eigenvalues and finds each cluster's Jordan blocks: exactly from the entries
+of a bidiagonal H (every one-way chain), by an SVD staircase for any other.
+The free (F = 0) ring, circulant and so normal at any kappa2, takes its
+certified plane-wave closed form instead.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,21 +168,7 @@ def ring_spectrum(spec: LatticeSpec) -> SpectrumReport:
     vectors = phases[np.outer(n, n) % dim] / math.sqrt(dim)
     _certify_eigenpairs(_spec_bands(spec), vectors, eigenvalues)
     scale = max(abs(spec.kappa1), abs(spec.kappa2)) if dim > 2 else abs(spec.kappa1 + spec.kappa2)
-    return SpectrumReport(eigenvalues, vectors, _clusters(None, eigenvalues, scale))
-
-
-def _numerical_rank(matrix: np.ndarray) -> tuple[int, bool]:
-    """Rank by SVD: the count of singular values above ``_DELTA``.
-
-    Returns (rank, flagged); flagged is True when any singular value lands
-    within a factor 10 of the threshold, i.e. the rank decision is marginal.
-    A zero matrix or an empty one is rank 0 with no SVD taken.  A matrix the
-    SVD cannot take (a failed convergence) raises :class:`ComputationError`.
-    """
-    if not matrix.any():  # what the SVD gives without one
-        return 0, False
-    sv = _checked("singular value decomposition", np.linalg.svd, matrix, compute_uv=False)
-    return _rank_of(sv)
+    return SpectrumReport(eigenvalues, vectors, _clusters(np.arange(dim), eigenvalues, scale))
 
 
 def _rank_of(sv: np.ndarray) -> tuple[int, bool]:
@@ -189,48 +177,25 @@ def _rank_of(sv: np.ndarray) -> tuple[int, bool]:
     return rank, bool(np.any((sv > _DELTA / 10.0) & (sv < _DELTA * 10.0)))
 
 
-def _nullity_one(shifted: np.ndarray, offsets: np.ndarray) -> bool:
-    """True when two bounds prove that A = ``shifted`` has nullity 1, unflagged.
+def _jordan_blocks(shifted: np.ndarray, multiplicity: int) -> tuple[tuple[int, ...], bool]:
+    """Block sizes for one eigenvalue of ``multiplicity`` m from A = (H - lambda I) / s.
 
-    sigma_N(A) <= |mu| for each of the cluster's eigenvalues mu of A
-    (``offsets``), and for B, A less a corner row and column, sigma_{N-1}(A)
-    >= sigma_min(B) >= min_i (|b_ii| - (r_i + c_i) / 2), r_i and c_i its
-    off-diagonal absolute row and column sums (interlacing, then Johnson).
-    Both clear the flag band of :func:`_rank_of` by a decade.  The bounds
-    hold for any A and are sharp for a Hessenberg A, whose B is triangular.
+    Every rank is taken at the one threshold ``_DELTA`` that also clusters
+    the eigenvalues, never relative to the matrix being ranked.  The nullity
+    d_1 of A is the number of blocks, so d_1 = m gives m blocks of size 1
+    and d_1 = 1 one block of size m, from a single SVD.  Only 1 < d_1 < m
+    runs the Kagstrom-Ruhe staircase: with the columns of V an orthonormal
+    basis of the complement of the null space of A, the nullity of V^H A V
+    is d_2, the count of blocks of size >= 2, and so on down the compressed
+    matrices; the number of blocks of size exactly k is d_k - d_{k+1} (Weyr
+    characteristic).  No power of A is formed, so an eigenvalue outside the
+    cluster keeps its distance from the cluster and is never counted as
+    null.  An SVD that fails to converge, or block sizes that do not sum to
+    m, are a :class:`ComputationError`.
     """
-    if np.abs(offsets).min() > _DELTA / 100.0:
-        return False
-    mag = np.abs(shifted)
-    for minor in (mag[:-1, 1:], mag[1:, :-1]):
-        johnson = 2.0 * minor.diagonal() - (minor.sum(axis=0) + minor.sum(axis=1)) / 2.0
-        if johnson.min() > 100.0 * _DELTA:
-            return True
-    return False
-
-
-def _jordan_blocks(shifted: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...], bool]:
-    """Block sizes for one eigenvalue from A = (H - lambda I) / s.
-
-    ``offsets`` are the cluster's m eigenvalues of A.  Every rank is taken
-    at the one threshold ``_DELTA`` that also clusters the eigenvalues,
-    never relative to the matrix being ranked.  The nullity d_1 of A is the
-    number of blocks, so d_1 = m gives m blocks of size 1 and d_1 = 1 one
-    block of size m, from a single SVD or, where :func:`_nullity_one`
-    proves d_1 = 1 (a one-way chain's order-N EP), from none.  Only
-    1 < d_1 < m runs the Kagstrom-Ruhe staircase: with the columns of V an
-    orthonormal basis of the complement of the null space of A, the
-    nullity of V^H A V is d_2, the count of blocks of size >= 2, and so on
-    down the compressed matrices; the number of blocks of size exactly k is
-    d_k - d_{k+1} (Weyr characteristic).  No power of A is formed, so an
-    eigenvalue outside the cluster keeps its distance from the cluster and
-    is never counted as null.  Block sizes that do not sum to m are a
-    :class:`ComputationError`.
-    """
-    dim, multiplicity = shifted.shape[0], offsets.size
-    if _nullity_one(shifted, offsets):
-        return (multiplicity,), False
-    rank, flagged = _numerical_rank(shifted)
+    dim = shifted.shape[0]
+    sv = _checked("singular value decomposition", np.linalg.svd, shifted, compute_uv=False)
+    rank, flagged = _rank_of(sv)
     if dim - rank == multiplicity:
         return (1,) * multiplicity, flagged
     if dim - rank == 1:
@@ -262,10 +227,14 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
 
     Each label starts as its own index; every pass takes the smallest label
     among the close neighbours, then the label of that label, until no label
-    changes.  A cluster is then labelled by its smallest index.
+    changes.  A cluster is then labelled by its smallest index.  The N x N
+    distances, mask and labels peak at 24 N^2 bytes, refused first beyond
+    physical memory.
     """
+    n = eigenvalues.size
+    _require_memory(24 * n**2, f"clustering {n} eigenvalues")
     close = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) <= tol
-    labels, previous = np.arange(eigenvalues.size), None
+    labels, previous = np.arange(n), None
     while not np.array_equal(labels, previous):
         previous = labels
         lowest = np.where(close, labels, labels[:, None]).min(axis=1)
@@ -282,10 +251,14 @@ def _in_units(z: np.ndarray, unit: float) -> np.ndarray:
 
 
 def _clusters(
-    entries: np.ndarray | None, eigenvalues: np.ndarray, scale: float
+    structure: np.ndarray, eigenvalues: np.ndarray, scale: float
 ) -> tuple[SpectrumCluster, ...]:
-    """The clusters of ``eigenvalues`` with each one's Jordan blocks; ``entries``
-    None stands for a normal matrix, whose blocks all have size 1."""
+    """The clusters of ``eigenvalues`` with each one's Jordan blocks.
+
+    ``structure`` is H itself, whose blocks :func:`_jordan_blocks` finds, or
+    the irreducible segment of each eigenvalue of a normal or bidiagonal H,
+    where each distinct value of a segment is one block of its count.
+    """
     unit = scale or 1.0  # dividing by s first keeps every quantity representable
     clusters: list[SpectrumCluster] = []
     for group in _cluster_indices(_in_units(eigenvalues, unit), _DELTA):
@@ -294,39 +267,56 @@ def _clusters(
             continue
         mean = _in_units(eigenvalues[group], unit).mean()
         value = complex(mean.real * unit, mean.imag * unit)
-        blocks, flagged = (1,) * len(group), False  # the blocks of a normal matrix
-        if entries is not None:
-            shifted = _in_units(entries, unit)
+        if structure.ndim == 1:
+            counts = Counter(zip(structure[group].tolist(), eigenvalues[group].tolist()))
+            blocks, flagged = tuple(sorted(counts.values(), reverse=True)), False
+        else:
+            shifted = _in_units(structure, unit)
             shifted[np.diag_indices_from(shifted)] -= value / unit
-            blocks, flagged = _jordan_blocks(shifted, _in_units(eigenvalues[group] - value, unit))
+            blocks, flagged = _jordan_blocks(shifted, len(group))
         clusters.append(SpectrumCluster(value, blocks, flagged))
     return tuple(clusters)
+
+
+def _segments(entries: np.ndarray) -> np.ndarray | None:
+    """The irreducible segment of each diagonal entry of a bidiagonal H, else None.
+
+    H is bidiagonal when every nonzero off its diagonal lies on one adjacent
+    off-diagonal; each zero bond there starts a new segment.
+    """
+    off = np.count_nonzero(entries) - np.count_nonzero(entries.diagonal())
+    for bonds in (entries.diagonal(1), entries.diagonal(-1)):
+        if np.count_nonzero(bonds) == off:
+            return np.concatenate(([0], np.cumsum(bonds == 0)))
+    return None
 
 
 def analyze_spectrum(h: HamiltonianMatrix) -> SpectrumReport:
     """Eigenvalues plus Jordan-structure analysis of degenerate clusters.
 
-    One scale decides both steps.  With s the largest matrix entry,
-    eigenvalues within ``_DELTA * s`` (delta = 1e-8) of each other form a
-    cluster, and each cluster's Jordan blocks follow from SVD ranks of
-    A = (H - lambda I) / s taken at that same delta (see
-    :func:`_jordan_blocks`), so the answer does not depend on the overall
-    scale of H.  Near an exceptional point of order m, backward errors of
-    size eps scatter the eigenvalues over a disk of radius ~ s eps^(1/m); an
-    EP whose scatter exceeds delta (an order-2 EP not exact in the entries
-    scatters by ~ sqrt(eps)) is split into several clusters.  The truncated
-    unidirectional chain is exact in its entries, and its order-N EP forms
-    one cluster.
-
-    One pass clusters the eigenvalues of ``np.linalg.eigvals`` and finds
-    each cluster's Jordan blocks, so a defective matrix costs no eigenvector
-    solve.  A report found not defective then takes its eigenvalues and
-    eigenvectors from ``np.linalg.eig`` and keeps the clusters of that pass.
+    With s the largest matrix entry, eigenvalues within ``_DELTA * s``
+    (delta = 1e-8) of each other form a cluster.  A bidiagonal H (every
+    one-way chain or window, every diagonal H) is clustered with no
+    eigensolve: its eigenvalues are its diagonal, and an irreducible
+    segment has one Jordan block per distinct eigenvalue (Parlett), exact
+    in the entries as given.  Any other H clusters ``np.linalg.eigvals``
+    and takes each cluster's blocks from SVD ranks of A = (H - lambda I) / s
+    at that same delta (:func:`_jordan_blocks`), whatever the scale of H.
+    Near an exceptional point of order m, backward errors of size eps
+    scatter those eigenvalues over a disk of radius ~ s eps^(1/m); an EP
+    whose scatter exceeds delta (an order-2 EP not exact in the entries
+    scatters by ~ sqrt(eps)) is split into several clusters.  A report
+    found not defective takes its eigenvalues and eigenvectors from
+    ``np.linalg.eig`` and keeps its clusters.
     """
     entries = np.asarray(h.entries, dtype=complex)
     scale = float(np.abs(entries).max())
-    eigenvalues = _checked("eigensolver", np.linalg.eigvals, entries)
-    report = SpectrumReport(eigenvalues, None, _clusters(entries, eigenvalues, scale))
+    segments = _segments(entries)
+    if segments is None:
+        eigenvalues, structure = _checked("eigensolver", np.linalg.eigvals, entries), entries
+    else:
+        eigenvalues, structure = entries.diagonal().copy(), segments
+    report = SpectrumReport(eigenvalues, None, _clusters(structure, eigenvalues, scale))
     if report.is_defective:
         return report
     eigenvalues, vectors = _checked("eigensolver", np.linalg.eig, entries)

@@ -76,6 +76,28 @@ class TestSpectrumCommand:
         assert np.allclose(values, [0.6 * l for l in range(16)], atol=1e-9)
         assert max(abs(im) for re, im in data["eigenvalues"]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "argv, clusters",
+        [
+            (["--geometry", "chain", "--sites", "16", "--force", "1e-8"], 6),
+            (["--geometry", "chain", "--sites", "16", "--force", "1e-12"], 1),
+            (["--geometry", "chain", "--sites", "16", "--kappa1", "0", "--kappa2", "1",
+              "--force", "1e-8"], 6),
+            (["--geometry", "infinite", "--window", "100000000", "100000015", "--force", "1"], 1),
+        ],
+        ids=["force-delta", "force-1e-12", "kappa1-0", "far-window"],
+    )
+    def test_forced_one_way_lattice_has_no_exceptional_point(self, capsys, tmp_path, argv, clusters):
+        # a forced one-way lattice is bidiagonal with distinct diagonal entries
+        # F n: N simple levels, also where levels spaced within delta * s share
+        # a cluster
+        code, out, _ = run(["spectrum", *argv, "--vectors", "--output", "s.json"], capsys)
+        assert code == 0
+        assert f"dim=16 clusters={clusters} max_ep_order=1 defective=False" in out
+        data = json.loads((tmp_path / "s.json").read_text())
+        assert all(c["jordan_blocks"] == [1] * c["multiplicity"] for c in data["clusters"])
+        assert len(data["eigenvectors"]) == 16
+
     def test_ring_cross_check(self, capsys, tmp_path):
         code, out, _ = run(
             ["spectrum", "--geometry", "ring", "--sites", "4", "--output", "r.json"],
@@ -956,14 +978,14 @@ def test_openblas_workers_are_parked_before_numpy_loads(tmp_path, preset, record
 
 
 def test_svd_failure_maps_to_exit_3(monkeypatch, capsys):
-    # a rank SVD that fails must land in the exit-code table; two clusters
-    # of this forced chain are too wide for the nullity-1 certificate, so
-    # their ranks are taken by SVD
+    # a rank SVD that fails must land in the exit-code table; a two-way
+    # chain is not bidiagonal, and the dense engine takes 13 SVDs on the
+    # clusters of this one
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    argv = ["spectrum", "--geometry", "chain", "--sites", "16", "--force", "1e-8"]
+    argv = ["spectrum", "--geometry", "chain", "--sites", "96", "--kappa2", "0.01"]
     code, _, err = run(argv, capsys)
     assert code == 3
     assert "Traceback" not in err
@@ -980,6 +1002,18 @@ def test_matrix_larger_than_physical_memory_maps_to_exit_3(monkeypatch, capsys, 
     assert err == (
         "computation error: a dense 64 x 64 H needs 65536 bytes, "
         "more than the 1024 bytes of physical memory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_clustering_larger_than_physical_memory_maps_to_exit_3(monkeypatch, capsys, tmp_path):
+    # the dense H fits in 16 N^2 bytes, the clustering's 24 N^2 do not
+    monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 20 * 64**2)
+    code, out, err = run(["spectrum", "--geometry", "chain", "--sites", "64"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "computation error: clustering 64 eigenvalues needs 98304 bytes, "
+        "more than the 81920 bytes of physical memory\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -1305,11 +1339,13 @@ _LASER = ["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15", "
         ([*_RWA, "--sites", "1"], "need an integer sites >= 2"),
         ([*_RWA, "--kappa", "1e-200", "--ratios", "1e-200"],
          "drive rate ratio * |kappa| = 1e-200 * 1e-200 underflows to 0"),
+        ([*_RWA, "--kappa", "1e-310"],
+         "the default t_end = 2 pi / |kappa| overflows at kappa = 1e-310; give --t-end"),
         (["bloch", *_CHAIN4, "--force", "1", "--periods", "0.5"], "periods must be >= 1, got 0.5"),
     ],
     ids=["evolve-dt", "bloch-dt", "floquet-dt", "laser-dt", "evolve-steps", "evolve-flux-rate",
          "closed-kappa2", "closed-ring-force", "rwa-t-end", "rwa-ratios", "rwa-sites",
-         "rwa-rate-underflow", "bloch-periods"],
+         "rwa-rate-underflow", "rwa-default-t-end", "bloch-periods"],
 )
 def test_run_time_refusals_come_before_any_file(capsys, tmp_path, argv, line):
     # the run and --dump-config refuse alike, so no dumped config is refused on rerun

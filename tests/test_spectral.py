@@ -33,6 +33,24 @@ def chain(sites, kappa1=1.0, kappa2=0j, force=0.0):
     )
 
 
+def rotated(entries, seed=0):
+    """Q H Q^H for a seeded random unitary Q, which no longer reads as bidiagonal."""
+    rng = np.random.default_rng(seed)
+    dim = entries.shape[0]
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    similar = q @ entries @ q.conj().T
+    assert spectral._segments(similar) is None
+    return similar
+
+
+def scrambled(entries):
+    """P H P^T with the odd rows and columns first: exact, and off the bidiagonal form."""
+    order = np.r_[1 : entries.shape[0] : 2, 0 : entries.shape[0] : 2]
+    similar = entries[np.ix_(order, order)]
+    assert spectral._segments(similar) is None
+    return similar
+
+
 class TestRingSpectrum:
     def test_four_site_roots_of_unity(self):
         spec = LatticeSpec(geometry=Geometry.Ring, kappa1=1.0, sites=4)
@@ -275,13 +293,15 @@ class TestAnalyzeSpectrum:
         # of size 120, J_3(0) + J_2(0) + J_1(1) keeps its blocks at every s, and
         # s I_3 is one cluster at s whose mean no sum overflows, even at 1e308;
         # a subnormal s divides without its reciprocal, which would overflow
+        # (the sum as given reads its blocks from its entries, scrambled by SVD)
         report = analyze_spectrum(build_hamiltonian(chain(120, kappa1=kappa1)))
         assert [c.jordan_blocks for c in report.clusters] == [(120,)]
         entries = np.zeros((6, 6), dtype=complex)
         entries[0, 1] = entries[1, 2] = entries[3, 4] = 1.0
         entries[5, 5] = 1.0
-        report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * entries))
-        assert [c.jordan_blocks for c in report.clusters] == [(3, 2), (1,)]
+        for m in (entries, scrambled(entries)):
+            report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * m))
+            assert [c.jordan_blocks for c in report.clusters] == [(3, 2), (1,)]
         report = analyze_spectrum(HamiltonianMatrix(entries=kappa1 * np.eye(3)))
         assert [(c.value, c.jordan_blocks) for c in report.clusters] == [(kappa1, (1, 1, 1))]
 
@@ -345,12 +365,17 @@ class TestAnalyzeSpectrum:
 
     @pytest.mark.parametrize(
         "entries, jordan",
-        [(build_hamiltonian(chain(64, kappa1=0.8 - 0.5j, force=0.6)).entries, 0), (np.eye(3), 1)],
-        ids=["forced-chain", "identity"],
+        [
+            (build_hamiltonian(chain(64, kappa1=0.8 - 0.5j, force=0.6)).entries, 0),
+            (np.eye(3), 0),
+            (rotated(np.eye(3)), 1),
+        ],
+        ids=["forced-chain", "identity", "rotated-identity"],
     )
     def test_eigenvalues_are_clustered_once(self, monkeypatch, entries, jordan):
         # the eigenbasis solve of a diagonalizable report keeps the first
-        # pass's clusters; the identity's one cluster is analyzed once too
+        # pass's clusters; a bidiagonal H reads its blocks from its entries,
+        # and the rotated identity's one cluster is ranked once
         calls = {"_cluster_indices": 0, "_jordan_blocks": 0}
         for name in calls:
             real = getattr(spectral, name)
@@ -411,13 +436,18 @@ class TestAnalyzeSpectrum:
             (0.3 * np.eye(3), [(1, 1, 1)]),
             (np.diag([0.0, 1e-9, 1.0]), [(1, 1), (1,)]),
             (cmath.exp(1j) * (np.eye(3) + np.diag([1.0, 1.0], 1)), [(3,)]),
+            (rotated(0.3 * np.eye(3)), [(1, 1, 1)]),
+            (rotated(np.diag([0.0, 1e-9, 1.0])), [(1, 1), (1,)]),
+            (scrambled(cmath.exp(1j) * (np.eye(3) + np.diag([1.0, 1.0], 1))), [(3,)]),
         ],
-        ids=["scaled-identity", "close-pair", "rotated-J3"],
+        ids=["scaled-identity", "close-pair", "rotated-J3",
+             "scaled-identity-svd", "close-pair-svd", "rotated-J3-svd"],
     )
     def test_one_scale_for_clusters_and_ranks(self, entries, want):
         # each cluster's ranks are taken at the distance that formed it, so
         # values merged within delta are one eigenvalue to the rank test too,
-        # and a cluster value an ulp off its eigenvalue still gives one block
+        # and a cluster value an ulp off its eigenvalue still gives one block;
+        # the bidiagonal inputs read the same blocks from their entries
         # (diag(0, 1e-10, 2e-10, 1) is test_close_distinct_eigenvalues_are_not_one_block)
         report = analyze_spectrum(HamiltonianMatrix(entries=entries.astype(complex)))
         assert [c.jordan_blocks for c in report.clusters] == want
@@ -477,9 +507,8 @@ class TestJordanShortcut:
     def test_inconsistent_nullities_are_refused(self, monkeypatch):
         # every rank read as 2 gives J_4 nullity 2, so the staircase runs;
         # its 2 x 2 compression then has nullity 0, and nullities [2, 0]
-        # give blocks (1, 1), which do not sum to 4.  Permuted out of
-        # Hessenberg form, J_4 has corner minors with zeros on their
-        # diagonals, so the nullity-1 certificate fails and the SVD runs
+        # give blocks (1, 1), which do not sum to 4.  Permuted out of its
+        # bidiagonal form, J_4 takes its blocks from SVD ranks
         calls = counting_rank(monkeypatch, lambda sv: 2)
         with pytest.raises(ComputationError) as info:
             analyze_spectrum(HamiltonianMatrix(entries=jordan_sum([(4, 0.0)], [3, 0, 2, 1])))
@@ -489,39 +518,54 @@ class TestJordanShortcut:
         )
         assert [len(sv) for sv in calls] == [4, 4, 2]  # the first rank, then two steps
 
-    @pytest.mark.parametrize("dim", [4, 0])
-    def test_zero_matrix_is_ranked_without_an_svd(self, monkeypatch, dim):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called on a zero matrix")
+    @pytest.mark.parametrize("dim", [4, 1])
+    def test_scaled_identity_takes_no_svd_and_no_eigvals(self, monkeypatch, dim):
+        # lambda I is diagonal, so bidiagonal: dim blocks of size 1 at lambda,
+        # read from the entries, the zero matrix among them
+        for name in ("svd", "eigvals"):
 
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        assert spectral._numerical_rank(np.zeros((dim, dim), dtype=complex)) == (0, False)
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"np.linalg.{_name} called on a scaled identity")
+
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for lam in (0.0, 0.3 - 0.2j):
+            report = analyze_spectrum(HamiltonianMatrix(entries=lam * np.eye(dim)))
+            assert [c.jordan_blocks for c in report.clusters] == [(1,) * dim]
+            assert report.clusters[0].value == pytest.approx(lam, rel=1e-15, abs=0.0)
 
     def test_chain_takes_no_svd(self, monkeypatch):
-        # nullity 1 is one block of the cluster's full size, and on the
-        # Hessenberg chain the certificate proves it without an SVD
+        # a one-way chain is bidiagonal: its eigenvalues are its diagonal and
+        # its blocks follow from the entries, with no eigensolve and no SVD
         calls = []
-        real = np.linalg.svd
+        for name in ("svd", "eigvals"):
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        report = analyze_spectrum(build_hamiltonian(chain(256)))
-        assert [c.jordan_blocks for c in report.clusters] == [(256,)]
+            monkeypatch.setattr(np.linalg, name, counted)
+        for force, want in ((0.0, [(256,)]), (0.6, [(1,)] * 256)):
+            report = analyze_spectrum(build_hamiltonian(chain(256, force=force)))
+            assert [c.jordan_blocks for c in report.clusters] == want
         assert calls == []
 
-    def test_nullity_certificate_changes_no_report(self, monkeypatch):
-        # a seeded sweep of lattice specs and Jordan sums, Hessenberg,
-        # transposed or permuted: the nullity-1 certificate may only skip
-        # SVDs, so the reports with and without it agree bit for bit
+    def test_bidiagonal_route_matches_the_dense_engine(self, monkeypatch):
+        # a seeded sweep of lattice specs (kappa1 = 0 and windows far from the
+        # origin among them) and Jordan sums, as given, transposed or
+        # permuted; each bidiagonal one is analysed by the route and, with the
+        # route off, by the dense engine.  The eigenvalue multisets agree, and
+        # the route gives the exact blocks, where the dense engine reads false
+        # exceptional points on forced ladders spaced near delta * s
         rng = np.random.default_rng(25)
-        matrices = []
+        cases = []  # (entries, "F = 0", "F != 0" or the Jordan sum's values)
+
+        def add(spec):
+            cases.append((build_hamiltonian(spec).entries, "F != 0" if spec.force else "F = 0"))
+
         for _ in range(300):
             kappa1 = 10.0 ** rng.uniform(-6.0, 6.0) * cmath.exp(2j * math.pi * rng.uniform())
             # kappa2 and F relative to kappa1; a force near delta * s gives
-            # clusters of distinct levels coupled by the Hessenberg bonds
+            # clusters of distinct levels coupled by the bidiagonal bonds
             kappa2 = 0.0 if rng.uniform() < 0.75 else 10.0 ** rng.uniform(-9.0, 0.0)
             scales = [0.0, 0.0, 10.0 ** rng.uniform(-10.0, -7.0), 10.0 ** rng.uniform(-7.0, 0.0)]
             force = rng.choice(scales)
@@ -530,42 +574,64 @@ class TestJordanShortcut:
             extent = {"window": (-sites // 2, sites - sites // 2)}
             if geometry is not Geometry.InfiniteChain:
                 extent = {"sites": sites}
-            spec = LatticeSpec(geometry=geometry, kappa1=kappa1, kappa2=kappa2 * kappa1,
-                               force=force * abs(kappa1), **extent)
-            matrices.append(build_hamiltonian(spec).entries)
+            add(LatticeSpec(geometry=geometry, kappa1=kappa1, kappa2=kappa2 * kappa1,
+                            force=force * abs(kappa1), **extent))
         for _ in range(80):
             sizes = rng.integers(1, 7, size=rng.integers(1, 4))
             values = rng.choice(BLOCK_VALUES, size=sizes.size)
             dim = int(sizes.sum())
             order = rng.permutation(dim) if rng.uniform() < 0.3 else range(dim)
             entries = jordan_sum(list(zip(sizes, values)), order)
-            matrices.append(np.ascontiguousarray(entries.T) if rng.uniform() < 0.5 else entries)
+            entries = np.ascontiguousarray(entries.T) if rng.uniform() < 0.5 else entries
+            cases.append((entries, values))
+        for index in range(120):
+            sites, phase = int(rng.integers(2, 65)), cmath.exp(2j * math.pi * rng.uniform())
+            if index < 60:  # one-way to the left, free or forced, on a chain or a window
+                kappa2 = 10.0 ** rng.uniform(-6.0, 6.0) * phase
+                force = [0.0, 10.0 ** rng.uniform(-10.0, -7.0), 10.0 ** rng.uniform(-7.0, 0.0)]
+                extent = {"window": (-sites // 2, sites - sites // 2)}
+                add(LatticeSpec(geometry=[Geometry.FiniteChain, Geometry.InfiniteChain][index % 2],
+                                kappa1=0.0, kappa2=kappa2, force=force[index % 3] * abs(kappa2),
+                                **({"sites": sites} if index % 2 == 0 else extent)))
+            else:  # a forced window 10^3 to 10^9 sites from the origin
+                start, force = int(10.0 ** rng.uniform(3.0, 9.0)), 10.0 ** rng.uniform(-3.0, 0.0)
+                add(LatticeSpec(geometry=Geometry.InfiniteChain, kappa1=phase, force=force,
+                                window=(start, start + sites - 1)))
 
-        real, fired = spectral._nullity_one, []
-
-        def counted(*args):
-            fired.append(real(*args))
-            return fired[-1]
-
-        def summary(report):
-            clusters = [(c.value, c.jordan_blocks, c.rank_flagged) for c in report.clusters]
-            return report.eigenvalues.tobytes(), clusters
-
-        reports = []
-        for certificate in (counted, lambda *args: False):
-            monkeypatch.setattr(spectral, "_nullity_one", certificate)
-            reports.append([summary(analyze_spectrum(HamiltonianMatrix(entries=m)))
-                            for m in matrices])
-        assert reports[0] == reports[1]
-        assert sum(fired) >= 100
+        segments = spectral._segments
+        cases = [(m, exact) for m, exact in cases if segments(m) is not None]
+        assert len(cases) >= 300
+        route = [analyze_spectrum(HamiltonianMatrix(entries=m)) for m, _ in cases]
+        monkeypatch.setattr(spectral, "_segments", lambda entries: None)
+        changed = 0
+        for (m, exact), ours in zip(cases, route):
+            try:
+                theirs = analyze_spectrum(HamiltonianMatrix(entries=m))
+                values, verdict = theirs.eigenvalues, [c.jordan_blocks for c in theirs.clusters]
+            except ComputationError:  # a far window's wide cluster: no staircase sums to it
+                values, verdict = np.linalg.eigvals(m), None
+            assert np.array_equal(np.sort_complex(ours.eigenvalues), np.sort_complex(values))
+            blocks = [c.jordan_blocks for c in ours.clusters]
+            if isinstance(exact, str):
+                want = [(m.shape[0],)] if exact == "F = 0" else [(1,) * len(b) for b in blocks]
+            else:
+                nearest = [min(exact, key=lambda v, c=c: abs(v - c.value)) for c in ours.clusters]
+                want = [weyr_blocks(m - v * np.eye(m.shape[0]), c.multiplicity)
+                        for v, c in zip(nearest, ours.clusters)]
+            assert blocks == want
+            changed += blocks != verdict
+        assert changed >= 30  # the dense engine's false exceptional points and refusals
 
     def test_close_distinct_eigenvalues_are_not_one_block(self, monkeypatch):
-        # {0, 1e-10, 2e-10} lies within delta, so H - lambda has nullity 3 at
-        # the clustering scale: three blocks of size 1 from one rank
+        # {0, 1e-10, 2e-10} lies within delta: as distinct diagonal entries it
+        # is three blocks of size 1 with no rank taken, and under a unitary
+        # similarity H - lambda has nullity 3 at the clustering scale, three
+        # blocks of size 1 from one rank
         calls = counting_rank(monkeypatch)
         entries = np.diag([0.0, 1e-10, 2e-10, 1.0]).astype(complex)
-        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
-        assert [c.jordan_blocks for c in report.clusters] == [(1, 1, 1), (1,)]
+        for m in (entries, rotated(entries)):
+            report = analyze_spectrum(HamiltonianMatrix(entries=m))
+            assert [c.jordan_blocks for c in report.clusters] == [(1, 1, 1), (1,)]
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -576,9 +642,11 @@ class TestJordanShortcut:
         # a simple eigenvalue at ``gap`` from a cluster with 1 < d_1 < m: the
         # staircase keeps its singular value near ``gap`` at every step, so
         # it is never counted as null, as it would be in a power of H - lambda
+        # (the sum as given reads its blocks from its entries, scrambled by SVD)
         entries = jordan_sum([(size, 0.0) for size in blocks] + [(1, gap)], range(sum(blocks) + 1))
-        report = analyze_spectrum(HamiltonianMatrix(entries=entries))
-        assert [c.jordan_blocks for c in report.clusters] == [want, (1,)]
+        for m in (entries, scrambled(entries)):
+            report = analyze_spectrum(HamiltonianMatrix(entries=m))
+            assert [c.jordan_blocks for c in report.clusters] == [want, (1,)]
 
 
 class TestJordanProperties:
