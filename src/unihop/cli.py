@@ -34,6 +34,8 @@ from .dynamics import (
     EvolveConfig,
     _closed_form_refusals,
     _dt_scale,
+    _require_records,
+    _rk4_records,
     _step_count,
     evolve_closed_form,
     evolve_rk4,
@@ -238,9 +240,11 @@ def _period_step(period: float, resolved: dict) -> float:
 
 
 def _check_rk4(spec: LatticeSpec, c0: StateVector, cfg: EvolveConfig, flux_rate=None) -> None:
-    """The refusals of ``evolve_rk4`` ahead of its first step, its step rule included."""
+    """The refusals of ``evolve_rk4`` ahead of its first step, its step rule
+    and the memory of its records included."""
     _check_state(spec, c0, flux_rate)
-    _step_count(cfg.t_end, cfg.dt, _dt_scale(spec, flux_rate), "the fastest scale")
+    steps = _step_count(cfg.t_end, cfg.dt, _dt_scale(spec, flux_rate), "the fastest scale")
+    _rk4_records(steps, cfg.record_every, spec.dim)
 
 
 def _write_trajectory(traj, prefix: str) -> None:
@@ -331,6 +335,7 @@ def _check_evolve(resolved: dict) -> tuple:
     c0 = _initial_state(resolved, spec)
     if cfg is None:
         _closed_form_refusals(spec, c0)
+        _require_records(resolved["samples"] if t_end else 1, spec.dim)
     else:
         _check_rk4(spec, c0, cfg, resolved["flux_rate"])
     return spec, cfg, c0
@@ -606,7 +611,8 @@ def _check_laser(resolved: dict) -> tuple:
     cfg = _evolve_config(resolved, resolved["t_end"], resolved["dt"])
     c0 = _initial_state(resolved, window_spec)
     lattice, _ = _laser_lattice(params, window_spec.window)
-    _step_count(cfg.t_end, cfg.dt, _laser_scale(params, lattice), "the laser scales")
+    steps = _step_count(cfg.t_end, cfg.dt, _laser_scale(params, lattice), "the laser scales")
+    _rk4_records(steps, cfg.record_every, lattice.dim)
     return params, cfg, c0
 
 

@@ -127,8 +127,10 @@ def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> 
 
     The ring's cyclic diagonals are constant, so the RK4 step at t_n multiplies mode q_l by
     1 + sum_m Delta_m e^{imF t_n} e^{im q_l}, with the step rule, steps, Delta_m and growth
-    bound from :func:`_rk4_plan`; per block: phases from cos and sin (half a complex exp's
-    cost), factors from one ``einsum`` (no BLAS threads), Lambda_l from one ``cumprod``.
+    bound from :func:`_rk4_plan`; per block of steps, sized so that neither the step-order
+    phase table nor the step-mode factor table passes 2^14 entries: phases from cos and sin
+    (half a complex exp's cost), factors from one ``einsum`` (no BLAS threads), Lambda_l
+    from one ``cumprod``.
     Delta_0 carries no phase, so |factor| <= growth, and the guard scans a block only once
     growth^n could pass 1e150; it checks the final product.
     """
@@ -138,7 +140,7 @@ def _bloch_products(spec: LatticeSpec, rate: float, t_end: float, dt: float) -> 
     orders = np.array([m for m in sorted(delta) if np.any(delta[m])])
     weights = np.array([delta[m][0] for m in orders])
     waves = np.exp(1j * orders[:, None] * (2.0 * np.pi * np.arange(spec.dim) / spec.dim))
-    block = max(1, 2**14 // spec.dim)
+    block = max(1, 2**14 // max(spec.dim, orders.size))
     product, bound = np.ones(spec.dim, dtype=complex), 1.0
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)

@@ -21,8 +21,9 @@ only by site n+1.  Three geometries are supported:
 H is held as its three cyclic diagonals.  On the flux-threaded ring the
 Peierls phase is a factor e^{ikFt} on diagonal k, so one gather-and-sum of
 phased diagonals applies H(t) in O(N), and the RK4 step applies its banded
-step matrix.  The dense matrix is formed only for the callers that need the
-whole of it.
+step matrix, over only the rows a state's support reaches where no diagonal
+wraps.  The dense matrix is formed only for the callers that need the whole
+of it.
 """
 
 from __future__ import annotations
@@ -239,22 +240,50 @@ def _band_product(a: dict, b: dict) -> dict[int, np.ndarray]:
     return out
 
 
-def _band_apply(bands: dict, rate: float | None = None):
-    """The operator (t, y) -> H(t) y on state vectors, as one gather-and-sum
-    over the cyclic diagonals.  All-zero diagonals are dropped; offset 0 is
-    kept.
+def _live(bands: dict) -> dict[int, np.ndarray]:
+    """The diagonals of ``bands`` that are not all zero, by offset, and offset 0 always."""
+    return {k: bands[k] for k in sorted(bands) if k == 0 or np.any(bands[k])}
 
+
+def _band_reach(bands: dict) -> tuple[int, int] | None:
+    """(lowest, highest) live offset of ``bands``: row i of the product reads
+    y[i + lowest .. i + highest].  None when a live diagonal wraps, that is
+    holds a nonzero entry d_k[i] whose column i + k leaves 0..dim-1 (the
+    ring's corners), so that y's support bounds no row range of the product."""
+    live = _live(bands)
+    i = np.arange(live[0].size)
+    if any(np.any(d[(i + k < 0) | (i + k >= i.size)]) for k, d in live.items()):
+        return None
+    return min(live), max(live)
+
+
+def _band_apply(bands: dict, rate: float | None = None):
+    """The operator (t, y, rows=None) -> H(t) y on state vectors, as one
+    gather-and-sum over the live cyclic diagonals (:func:`_live`).
+
+    With ``rows``, a slice, only those rows are gathered and summed and the
+    others are returned as exact zeros: right when no row outside ``rows``
+    reaches y's support (see :func:`_band_reach`), at O(len(rows)) cost.
     With ``rate`` = F, diagonal k carries the Peierls factor e^{ikFt}; without
     it H is static and ``t`` is ignored.
     """
-    offsets = [k for k in sorted(bands) if k == 0 or np.any(bands[k])]
-    coef = np.stack([bands[k] for k in offsets])
-    dim = coef.shape[1]
-    idx = (np.arange(dim) + np.array(offsets)[:, None]) % dim
-    if rate is None:
-        return lambda t, y: (coef * y[idx]).sum(0)
-    phase_rates = 1j * rate * np.array(offsets)[:, None]
-    return lambda t, y: (np.exp(phase_rates * t) * (coef * y[idx])).sum(0)
+    live = _live(bands)
+    offsets = np.array(list(live))[:, None]
+    coef = np.stack(list(live.values()))
+    idx = (np.arange(coef.shape[1]) + offsets) % coef.shape[1]
+    phase_rates = None if rate is None else 1j * rate * offsets
+
+    def apply(t: float, y: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        terms = coef * y[idx] if rows is None else coef[:, rows] * y.take(idx[:, rows])
+        if phase_rates is not None:
+            terms = np.exp(phase_rates * t) * terms
+        if rows is None:
+            return terms.sum(0)
+        out = np.zeros(y.shape, y.dtype)
+        out[rows] = terms.sum(0)
+        return out
+
+    return apply
 
 
 def _dense(bands: dict) -> np.ndarray:

@@ -1018,6 +1018,34 @@ def test_clustering_larger_than_physical_memory_maps_to_exit_3(monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, records, sites",
+    [
+        (["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "1", "--dt", "0.01"], 101, 4),
+        (["evolve", "--geometry", "chain", "--sites", "4", "--t-end", "1", "--method", "closed"],
+         201, 4),
+        (["bloch", "--geometry", "chain", "--sites", "4", "--force", "1"], 1501, 4),
+        (["laser", "--delta-am", "0.5", "--delta-fm", "0.5", "--n-min", "-15", "--n-max", "15",
+          "--t-end", "1", "--dt", "0.01"], 101, 31),
+    ],
+    ids=["evolve-rk4", "evolve-closed", "bloch", "laser"],
+)
+def test_trajectory_larger_than_physical_memory_maps_to_exit_3(
+    monkeypatch, capsys, tmp_path, argv, records, sites
+):
+    # the initial state fits in 4 KiB, the recorded trajectory (48 bytes per
+    # amplitude) does not; the run and --dump-config refuse alike
+    monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 4096)
+    for extra in ([], ["--dump-config", "d.json"]):
+        code, out, err = run(argv + extra, capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"computation error: {records} recorded states of {sites} sites needs "
+            f"{48 * records * sites} bytes, more than the 4096 bytes of physical memory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 def _assert_exit_3(code, err, what):
     assert code == 3
     assert "Traceback" not in err

@@ -9,7 +9,9 @@ from scipy.special import i0
 
 import unihop.dynamics as dynamics
 import unihop.engineering as engineering
+import unihop.lattice as lattice
 from unihop import (
+    ComputationError,
     EvolveConfig,
     Geometry,
     FluxDrive,
@@ -579,6 +581,174 @@ class TestWideWindows:
     def test_laser_edge_monitor_acts_on_twenty_thousand_modes(self):
         with pytest.raises(EdgeLeakError):
             self._laser_run(center=9_998.0)
+
+
+def _track_and_full(run, monkeypatch):
+    """``run()`` with the live-range stepping of ``_evolve``, then again with
+    every step over the full lattice (as for a wrapping H)."""
+    tracked = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "_band_reach", lambda bands: None)
+        return tracked, run()
+
+
+_K = np.exp(0.4j)
+_W = (-300, 299)
+_TRACKED = {
+    # (lattice, initial site or (center, width), options): a one-way chain
+    # spreads down from its top site, a kappa1 = 0 window up from its bottom
+    "chain-top-kappa2=0": (chain(600, kappa1=_K), 599, {}),
+    "chain-bottom-kappa2=0-F": (chain(600, kappa1=_K, force=0.3), 0, {}),
+    "window-bottom-kappa1=0-F": (_window(_W, 0j, _K, force=-0.2), -300, {}),
+    "window-top-kappa1=0": (_window(_W, 0j, _K), 299, {}),
+    "window-site-two-way-F": (_window(_W, _K, -0.3j, force=0.2), 7, {"record_every": 11}),
+    "window-gaussian-two-way-F": (
+        _window(_W, _K, 0.4 - 0.3j, force=0.1), (40.3, 3.0), {"record_every": 7}),
+    "chain-gaussian-renormalize": (
+        chain(600, kappa1=3.0 * _K, kappa2=0.1, force=0.05), (500.0, 2.0),
+        {"renormalize": True, "record_every": 9}),
+    # the ring's corners wrap, so every step is the full one
+    "ring-site": (LatticeSpec(geometry=Geometry.Ring, kappa1=_K, kappa2=0.2, sites=300), 0, {}),
+}
+
+
+def _hooked_run(spec, initial, options):
+    """60 RK4 steps at the step rule's bound through ``_evolve``, with a step
+    hook that keeps what it is given: (trajectory, [(t, y), ...])."""
+    c0 = (gaussian_state(spec, *initial) if isinstance(initial, tuple)
+          else single_site_state(spec, initial))
+    scale = dynamics._dt_scale(spec, None)
+    cfg = EvolveConfig(t_end=60 * 0.05 / scale, dt=0.05 / scale, **options)
+    seen = []
+    traj = dynamics._evolve(
+        _spec_bands(spec), None, c0, cfg, scale, "it",
+        step_hook=lambda t, y: seen.append((t, y.copy())),
+    )
+    return traj, seen
+
+
+def _assert_bitwise(tracked, full):
+    """The amplitudes and observables of two trajectories agree bit for bit,
+    zero signs and subnormal tails included."""
+    for name in ("times", "amps", "com", "weight", "revival", "log_scale"):
+        assert getattr(tracked, name).tobytes() == getattr(full, name).tobytes()
+    # a state that spreads has subnormal tails, so a dropped row would show
+    if np.count_nonzero(tracked.amps[-1]) > 1:
+        assert np.any((tracked.amps != 0) & (np.abs(tracked.amps) < 1e-300))
+
+
+class TestLiveRange:
+    """RK4 steps only the rows that the state's nonzero range can reach."""
+
+    @pytest.mark.parametrize("case", list(_TRACKED))
+    def test_tracked_stepping_is_bitwise_full_range_stepping(self, monkeypatch, case):
+        (tracked, seen), (full, seen_full) = _track_and_full(
+            lambda: _hooked_run(*_TRACKED[case]), monkeypatch
+        )
+        _assert_bitwise(tracked, full)
+        assert len(seen) == len(seen_full) == 60
+        for (t, y), (t_full, y_full) in zip(seen, seen_full):
+            assert t == t_full and y.tobytes() == y_full.tobytes()
+
+    @pytest.mark.parametrize("initial", [(3.5, 3.0), 290], ids=["gaussian", "site-near-edge"])
+    def test_laser_tracked_stepping_is_bitwise_full_range_stepping(self, monkeypatch, initial):
+        window = _window((-300, 300))
+        c0 = (gaussian_state(window, *initial) if isinstance(initial, tuple)
+              else single_site_state(window, initial))
+        run = lambda: laser_evolve(_LASER, c0, EvolveConfig(t_end=6e-4, dt=1e-5, record_every=8))
+        _assert_bitwise(*_track_and_full(run, monkeypatch))
+
+    @pytest.mark.parametrize(
+        "spec, center",
+        [
+            (_window((-2500, 2499), kappa1=_K), 1.5),
+            (_window((-2500, 2499), kappa1=_K, kappa2=0.5j, force=0.01), -3.2),
+            (chain(5000, kappa1=0j, kappa2=_K, force=1e-3), 20.0),
+        ],
+        ids=["window-kappa2=0", "window-two-way-F", "chain-kappa1=0"],
+    )
+    def test_wide_lattices_within_a_rounding(self, monkeypatch, spec, center):
+        # numpy rounds the complex product of a (bands, N) array differently
+        # from that of its row slice once N is in the thousands, so here the
+        # check is the zero pattern (a dropped row shows there) and 2e-16 of
+        # each record's norm (1.6e-16 measured), not the bits
+        dt = 0.05 / dynamics._dt_scale(spec, None)
+        c0 = gaussian_state(spec, center, 3.0)
+        run = lambda: evolve_rk4(spec, c0, EvolveConfig(t_end=60 * dt, dt=dt))
+        tracked, full = _track_and_full(run, monkeypatch)
+        assert np.array_equal(tracked.amps == 0, full.amps == 0)
+        dev = np.linalg.norm(tracked.amps - full.amps, axis=1) / np.linalg.norm(full.amps, axis=1)
+        assert np.max(dev) <= 2e-16
+
+    def test_gaussian_on_a_hundred_thousand_sites_steps_its_support(self, monkeypatch):
+        # each step gathers the rows of the nonzero range widened by the reach of
+        # I + Delta, 4 each way for a two-way window, never the whole window
+        rows = []
+        band_apply = dynamics._band_apply
+
+        def counting(bands, rate=None):
+            apply = band_apply(bands, rate)
+
+            def counted(t, y, span=None):
+                rows.append(y.size if span is None else span.stop - span.start)
+                return apply(t, y, span)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "_band_apply", counting)
+        spec = _window((-50_000, 50_000), kappa1=_K, kappa2=0.3j)
+        c0 = gaussian_state(spec, center=2.5, width=3.0)
+        support = np.flatnonzero(c0.amps).size
+        traj = evolve_rk4(spec, c0, EvolveConfig(t_end=2.0, dt=0.05, record_every=40))
+        assert len(rows) == 40 and len(traj) == 2
+        assert support + 8 <= max(rows) <= support + 8 * 40
+        assert sum(rows) < spec.dim / 5
+        assert np.flatnonzero(traj.amps[-1]).size <= rows[-1]
+
+    @pytest.mark.parametrize(
+        "bands, rate",
+        [
+            (_spec_bands(chain(12, kappa1=0.9 + 0.4j)), None),
+            (_spec_bands(chain(12, kappa1=0.9 + 0.4j, force=0.3)), None),
+            (_spec_bands(_window((-7, 5), 0j, 0.7 - 0.2j, force=-0.6)), None),
+            (_spec_bands(LatticeSpec(geometry=Geometry.Ring, kappa1=1.1j, sites=7)), None),
+            (_spec_bands(LatticeSpec(geometry=Geometry.Ring, kappa1=1.1j, sites=2)), None),
+            (_spec_bands(LatticeSpec(geometry=Geometry.Ring, kappa1=0.8 - 0.6j, sites=7)), -1.1),
+            (_spec_bands(LatticeSpec(
+                geometry=Geometry.Ring, kappa1=0.8 - 0.6j, force=0.3, sites=7)), -1.1),
+            (engineering._laser_lattice(LaserParams(
+                gain=0.3, loss=0.1, dg=0.02, delta_am=0.0, delta_fm=0.0, phi=0.9,
+                detuning=-0.5), (-6, 8))[1], None),
+        ],
+        ids=["chain", "forced-chain", "window-kappa1=0", "ring", "ring2", "flux-ring",
+             "flux-ring-stark", "laser-no-hopping"],
+    )
+    def test_rk4_plan_skips_all_zero_diagonals_bitwise(self, bands, rate):
+        assert any(not np.any(d) for k, d in bands.items() if k != 0)
+        for dt in (0.05, 0.013):
+            _, h, delta, _ = dynamics._rk4_plan(bands, rate, 1.0, dt, 1.0, "it")
+            every = dynamics._increment(bands, rate, h)  # with the all-zero diagonals
+            assert set(delta) < set(every)
+            for k, d in every.items():
+                assert d.tobytes() == delta[k].tobytes() if k in delta else not np.any(d)
+
+
+@pytest.mark.parametrize("method", ["rk4", "closed"])
+def test_trajectory_beyond_physical_memory_is_refused(monkeypatch, method):
+    # 101 records of 4 sites at 48 bytes per amplitude; the state itself fits
+    spec = chain(4)
+    c0 = single_site_state(spec, 3)
+
+    def run():
+        if method == "rk4":
+            return evolve_rk4(spec, c0, EvolveConfig(t_end=1.0, dt=0.01))
+        return evolve_closed_form(spec, c0, np.linspace(0.0, 1.0, 101))
+
+    monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 48 * 101 * 4)
+    assert len(run()) == 101
+    monkeypatch.setattr(lattice, "_PHYSICAL_BYTES", 48 * 101 * 4 - 1)
+    with pytest.raises(ComputationError, match="^101 recorded states of 4 sites needs 19392 bytes"):
+        run()
 
 
 def _peak_bytes(run):
